@@ -37,5 +37,5 @@ from .entanglement import (
 )
 from .config import (
     ConfigError, PRESETS, RunConfig, RunResult, apply_axis_value,
-    canonical_text, execute, expand, load_config, preset_config,
+    canonical_text, execute, expand, load_config, plan, preset_config,
 )

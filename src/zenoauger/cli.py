@@ -11,15 +11,18 @@ import argparse
 import hashlib
 import math
 import os
+import platform
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from . import __version__, units
+import numpy
+import scipy
+
+from . import ConvergenceError, __version__, units
 from .config import (ConfigError, RunConfig, apply_axis_value,
                      canonical_text, execute, format_float, load_config,
-                     preset_config, PRESETS)
-from .model import build_grid, LevelScheme, validate_resolution
+                     plan, preset_config, PRESETS)
 from .observables import ObservableTrace
 from .units import au_to_ev, au_to_fs
 
@@ -29,6 +32,7 @@ WORKERS_ENV = "ZENOAUGER_WORKERS"
 EXIT_OK = 0
 EXIT_FIT_FLAGGED = 1
 EXIT_CONFIG = 2
+EXIT_SOLVER = 3
 
 
 def _json_text(obj, indent: int = 0) -> str:
@@ -65,11 +69,11 @@ def _write(path: Path, text: str):
 
 def _trace_csv(trace: ObservableTrace) -> str:
     lines = ["t_fs,n_c,n_v1,n_v2,n_v3,P1,P2,P_bound,cycle_boundary"]
+    columns = (trace.n_c, trace.n_v1, trace.n_v2, trace.n_v3,
+               trace.P1, trace.P2, trace.P_bound)
     for i, t in enumerate(trace.times):
         row = [format_float(au_to_fs(float(t)))]
-        row += [format_float(float(arr[i])) for arr in
-                (trace.n_c, trace.n_v1, trace.n_v2, trace.n_v3,
-                 trace.P1, trace.P2, trace.P_bound)]
+        row += [format_float(float(arr[i])) for arr in columns]
         row.append("1" if trace.cycle_flags[i] else "0")
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
@@ -140,6 +144,9 @@ def emit(result, out_dir: str | Path) -> Path:
         "package": "zenoauger",
         "version": __version__,
         "config_sha256": hashlib.sha256(expanded.encode()).hexdigest(),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "scipy": scipy.__version__,
         "deterministic": True,
         "statement": ("no random number generators are used; an identical "
                       "expanded configuration reproduces these files byte "
@@ -240,24 +247,15 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    cfg = _config_from_args(args)
-    from .config import expand
-    cfg = expand(cfg)
-    levels = LevelScheme(E1=cfg.E1, E2=cfg.E2, eps_c=cfg.eps_c,
-                         tau1=cfg.tau1, tau2=cfg.tau2)
-    ok = True
-    for region, eps_a, tau in (("S", levels.epsA1, cfg.tau1),
-                               ("P", levels.epsA2, cfg.tau2)):
-        grid = build_grid(region, eps_a, cfg.W, cfg.N, cfg.n_exponent, tau)
-        report = validate_resolution(grid, cfg.T_total, tau)
+    reports = plan(_config_from_args(args)).reports
+    for region, report in zip("SP", reports):
         status = "ok" if report.ok else "FAIL"
         print(f"region {region}: {status}  "
               f"T_rec = {au_to_fs(report.recurrence_time):.2f} fs, "
               f"points/linewidth = {report.points_per_linewidth:.2f}")
         for diag in report.diagnostics:
             print(f"  {diag}")
-        ok = ok and report.ok
-    return EXIT_OK if ok else EXIT_CONFIG
+    return EXIT_OK if all(r.ok for r in reports) else EXIT_CONFIG
 
 
 def cmd_presets(_args) -> int:
@@ -321,6 +319,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except ConvergenceError as exc:
+        print(f"solver error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

@@ -16,11 +16,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import units
-from .drive import ENVELOPES, MODES, build_schedule
-from .model import (LevelScheme, assemble, build_grid, default_window,
-                    rotating_frame, validate_resolution)
-from .observables import find_peaks, fit_lifetime, lineshape, stark_splittings
-from .propagator import PropagationConfig, initial_state, propagate
+from .drive import ENVELOPES, MODES, PulseSchedule, build_schedule
+from .model import (ContinuumGrid, LevelScheme, ResolutionReport, assemble,
+                    build_grid, default_window, rotating_frame,
+                    validate_resolution)
+from .observables import (LifetimeFit, ObservableTrace, find_peaks,
+                          fit_lifetime, in_fit_window, lineshape,
+                          stark_splittings)
+from .propagator import (PropagationConfig, initial_state, propagate,
+                         sample_times)
 
 
 class ConfigError(ValueError):
@@ -322,23 +326,39 @@ def apply_axis_value(cfg: RunConfig, axis: str, value: float) -> RunConfig:
 
 
 @dataclass(eq=False)
-class RunResult:
-    """Everything a single run produces, pre-emission."""
+class RunPlan:
+    """An expanded configuration and all a run builds before propagating."""
 
     config: RunConfig
     levels: LevelScheme
-    grid_s: object
-    grid_p: object
-    schedule: object
-    trace: object
-    fit: object
+    grid_s: ContinuumGrid
+    grid_p: ContinuumGrid
+    reports: tuple[ResolutionReport, ResolutionReport]
+    schedule: PulseSchedule
+    propagation: PropagationConfig
+
+    @property
+    def warnings(self) -> tuple[str, ...]:
+        return tuple(d for report in self.reports for d in report.diagnostics)
+
+
+@dataclass(eq=False)
+class RunResult(RunPlan):
+    """Everything a single run produces, pre-emission."""
+
+    trace: ObservableTrace
+    fit: LifetimeFit
     peaks: list
     splittings: dict
-    warnings: tuple[str, ...]
 
 
-def execute(cfg: RunConfig) -> RunResult:
-    """Build the system from a configuration, propagate and post-process."""
+def plan(cfg: RunConfig) -> RunPlan:
+    """Expand a configuration and build what a run needs before propagating.
+
+    Every check a run makes raises ConfigError or ValueError here, except
+    the recurrence bound of the S and P grids: its verdict stays in
+    ``reports`` for :func:`execute` to refuse and ``validate`` to print.
+    """
     cfg = expand(cfg)
     levels = LevelScheme(E1=cfg.E1, E2=cfg.E2, eps_c=cfg.eps_c,
                          tau1=cfg.tau1, tau2=cfg.tau2)
@@ -346,37 +366,39 @@ def execute(cfg: RunConfig) -> RunResult:
                         cfg.tau1)
     grid_p = build_grid("P", levels.epsA2, cfg.W, cfg.N, cfg.n_exponent,
                         cfg.tau2)
-
-    warnings: list[str] = []
-    for grid, tau in ((grid_s, cfg.tau1), (grid_p, cfg.tau2)):
-        report = validate_resolution(grid, cfg.T_total, tau)
-        if not report.ok:
-            raise ConfigError("; ".join(report.diagnostics))
-        warnings.extend(report.diagnostics)
-
+    reports = (validate_resolution(grid_s, cfg.T_total, cfg.tau1),
+               validate_resolution(grid_p, cfg.T_total, cfg.tau2))
     schedule = build_schedule(
         Omega=cfg.Omega, omega=cfg.omega, delta=cfg.delta, t_m=cfg.t_m,
         dt_delay=cfg.dt_delay, mode=cfg.mode, T_total=cfg.T_total,
         envelope=cfg.envelope, ramp=cfg.ramp, phase_reset=cfg.phase_reset)
-
-    ham = assemble(levels, grid_s, grid_p)
-    if schedule.is_rwa:
-        ham = rotating_frame(ham, cfg.omega)
-
-    prop = PropagationConfig(
+    propagation = PropagationConfig(
         T_total=cfg.T_total, dt_max=cfg.dt_max, sample_dt=cfg.sample_stride,
         krylov_dim=cfg.krylov_dim, residual_tol=cfg.residual_tol,
         snapshot_times=cfg.snapshot_times)
-    trace = propagate(initial_state(ham), ham, schedule, prop,
-                      grids=(grid_s, grid_p))
+    if np.count_nonzero(in_fit_window(sample_times(schedule, propagation))) < 2:
+        raise ConfigError("the lifetime fit window holds fewer than two "
+                          "output samples", "propagation.sample_stride")
+    return RunPlan(cfg, levels, grid_s, grid_p, reports, schedule, propagation)
+
+
+def execute(cfg: RunConfig) -> RunResult:
+    """Plan a run from a configuration, propagate and post-process."""
+    p = plan(cfg)
+    refusals = [d for r in p.reports if not r.ok for d in r.diagnostics]
+    if refusals:
+        raise ConfigError("; ".join(refusals))
+
+    ham = assemble(p.levels, p.grid_s, p.grid_p)
+    if p.schedule.is_rwa:
+        ham = rotating_frame(ham, p.config.omega)
+    trace = propagate(initial_state(ham), ham, p.schedule, p.propagation,
+                      grids=(p.grid_s, p.grid_p))
 
     fit = fit_lifetime(trace)
-    spectrum = lineshape(trace, trace.T)
-    peaks = find_peaks(spectrum)
-    return RunResult(
-        config=cfg, levels=levels, grid_s=grid_s, grid_p=grid_p,
-        schedule=schedule, trace=trace, fit=fit, peaks=peaks,
-        splittings=stark_splittings(peaks), warnings=tuple(warnings))
+    peaks = find_peaks(lineshape(trace, trace.T))
+    return RunResult(**vars(p), trace=trace, fit=fit, peaks=peaks,
+                     splittings=stark_splittings(peaks))
 
 
 # Named scenarios.  li / li_plus are the lithium atom and the hollow

@@ -59,9 +59,9 @@ def wootters_concurrence(rho: np.ndarray) -> float:
     """
     rho_tilde = _SPIN_FLIP @ rho.conj() @ _SPIN_FLIP
     evals = np.real(np.linalg.eigvals(rho @ rho_tilde))
-    # zero out sub-machine-scale noise so the square root cannot amplify
-    # it; the spectrum of rho @ rho_tilde is non-negative in exact math
-    evals[np.abs(evals) < 1e-13] = 0.0
+    # zero out noise below 1e-13 of the largest eigenvalue so the square
+    # root cannot amplify it; the spectrum is non-negative in exact math
+    evals[np.abs(evals) < 1e-13 * np.max(np.abs(evals))] = 0.0
     lams = np.sqrt(np.sort(np.abs(evals))[::-1])
     return float(max(0.0, lams[0] - lams[1] - lams[2] - lams[3]))
 

@@ -209,22 +209,16 @@ class Hamiltonian:
 
     def apply(self, psi: np.ndarray, g: complex = 0.0) -> np.ndarray:
         """H(t) @ psi with drive element g = <2|H|1> at this instant."""
-        out = self.diag * psi
-        b_s = psi[self.s_block]
-        b_p = psi[self.p_block]
-        out[0] += np.conj(g) * psi[1] + self.m_s @ b_s
-        out[1] += g * psi[0] + self.m_p @ b_p
-        out[self.s_block] += self.m_s * psi[0]
-        out[self.p_block] += self.m_p * psi[1]
+        out = self.static_csr.dot(psi)
+        if g != 0.0:
+            out[0] += np.conj(g) * psi[1]
+            out[1] += g * psi[0]
         return out
 
     @cached_property
     def static_csr(self) -> scipy.sparse.csr_matrix:
-        """Sparse form of the drive-free part, for the propagation hot loop.
-
-        Equivalent to dense(0); the time-dependent (0, 1) element is added
-        per product by the propagator.
-        """
+        """The drive-free part dense(0) in sparse form; :meth:`apply` adds
+        the drive element per product."""
         n = self.dimension
         s_idx = np.arange(2, 2 + self.n_s)
         p_idx = np.arange(2 + self.n_s, n)

@@ -24,20 +24,17 @@ PEAK_NOISE_FLOOR = 1e-4
 class ObservableTrace:
     """Time series of orbital occupations plus spectral snapshots.
 
-    ``spectra`` holds (t, A_S, A_P) with A the continuum occupations
-    |b_k|^2 per region; ``states`` keeps the full complex state at the
-    same instants for entanglement post-processing.  ``cycle_flags``
-    marks samples taken at measurement-cycle boundaries.
+    ``P_bound`` and ``n_v1..3`` derive from ``P1`` and ``P2`` (see
+    :func:`orbital_populations`).  ``spectra`` holds (t, A_S, A_P) with A
+    the continuum occupations |b_k|^2 per region; ``states`` keeps the
+    full complex state at the same instants for entanglement
+    post-processing.  ``cycle_flags`` marks cycle-boundary samples.
     """
 
     times: np.ndarray
     n_c: np.ndarray
-    n_v1: np.ndarray
-    n_v2: np.ndarray
-    n_v3: np.ndarray
     P1: np.ndarray
     P2: np.ndarray
-    P_bound: np.ndarray
     cycle_flags: np.ndarray
     spectra: list = field(default_factory=list)
     states: list = field(default_factory=list)
@@ -47,6 +44,14 @@ class ObservableTrace:
     d_eps_p: float = 0.0
     drive_mode: str = "off"
     final_state: "StateVector | None" = None
+
+    @property
+    def P_bound(self) -> np.ndarray:
+        return self.P1 + self.P2
+
+    n_v1 = P_bound
+    n_v2 = property(lambda self: self.P1)
+    n_v3 = property(lambda self: self.P2)
 
     @property
     def T(self) -> float:
@@ -105,7 +110,7 @@ def fit_lifetime(trace: ObservableTrace) -> LifetimeFit:
     """
     T = trace.T
     lo, hi = FIT_WINDOW[0] * T, FIT_WINDOW[1] * T
-    in_window = (trace.times >= lo) & (trace.times <= hi)
+    in_window = in_fit_window(trace.times)
     use_envelope = trace.drive_mode.endswith("pulsed") and trace.cycle_flags.any()
     sel = in_window & trace.cycle_flags if use_envelope else in_window
     if np.count_nonzero(sel) < 3:
@@ -130,6 +135,12 @@ def fit_lifetime(trace: ObservableTrace) -> LifetimeFit:
         r_squared=r_squared,
         accepted=r_squared >= R_SQUARED_ACCEPT,
     )
+
+
+def in_fit_window(times: np.ndarray) -> np.ndarray:
+    """Mask of the samples on [0.2 T, 0.9 T], T the last sample time."""
+    lo, hi = FIT_WINDOW[0] * times[-1], FIT_WINDOW[1] * times[-1]
+    return (times >= lo) & (times <= hi)
 
 
 def _one_over_e_time(trace: ObservableTrace) -> float:

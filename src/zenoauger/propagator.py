@@ -93,6 +93,8 @@ class PropagationConfig:
             raise ValueError(f"T_total must be positive, got {self.T_total}")
         if self.krylov_dim < 4:
             raise ValueError(f"krylov_dim must be at least 4, got {self.krylov_dim}")
+        if not 0 < self.residual_tol < math.inf:
+            raise ValueError(f"residual_tol must be in (0, inf), got {self.residual_tol}")
 
     def resolved_sample_dt(self) -> float:
         return self.sample_dt if self.sample_dt else self.T_total / 400.0
@@ -124,19 +126,7 @@ def _lanczos_expv(ham: Hamiltonian, g: complex, v: np.ndarray, dt: float,
     alphas = np.empty(m_cap + 1)
     betas = np.empty(m_cap + 1)
 
-    mat = ham.static_csr
-    g = complex(g)
-    g_conj = g.conjugate()
-    driven = g != 0.0
-
-    def matvec(x):
-        y = mat.dot(x)
-        if driven:
-            y[0] += g_conj * x[1]
-            y[1] += g * x[0]
-        return y
-
-    w = matvec(basis[0])
+    w = ham.apply(basis[0], g)
     alphas[0] = np.vdot(basis[0], w).real
     w -= alphas[0] * basis[0]
 
@@ -151,7 +141,7 @@ def _lanczos_expv(ham: Hamiltonian, g: complex, v: np.ndarray, dt: float,
                 return basis[:j].T @ u, err, j
         betas[j] = beta
         np.divide(w, beta, out=basis[j])
-        w = matvec(basis[j])
+        w = ham.apply(basis[j], g)
         alphas[j] = np.vdot(basis[j], w).real
         w -= alphas[j] * basis[j]
         w -= beta * basis[j - 1]
@@ -226,7 +216,7 @@ def evolve_interval(vec: np.ndarray, t0: float, t1: float, ham: Hamiltonian,
     return vec
 
 
-def _sample_times(schedule: PulseSchedule, config: PropagationConfig) -> np.ndarray:
+def sample_times(schedule: PulseSchedule, config: PropagationConfig) -> np.ndarray:
     """Output grid: stride samples, window edges, cycle boundaries, snapshots."""
     T = config.T_total
     stride = config.resolved_sample_dt()
@@ -257,7 +247,7 @@ def propagate(psi0: StateVector, ham: Hamiltonian, schedule: PulseSchedule,
     attaches their energy axes to the trace so spectra can be plotted
     against emission energy regardless of the propagation frame.
     """
-    times = _sample_times(schedule, config)
+    times = sample_times(schedule, config)
     n_samples = len(times)
     drive_bound = drive_step_bound(schedule)
     if config.dt_max:
@@ -268,9 +258,8 @@ def propagate(psi0: StateVector, ham: Hamiltonian, schedule: PulseSchedule,
     tol = 1e-9 * max(config.T_total, 1.0)
 
     n_c = np.empty(n_samples)
-    n_v1 = np.empty(n_samples)
-    n_v2 = np.empty(n_samples)
-    n_v3 = np.empty(n_samples)
+    p1 = np.empty(n_samples)
+    p2 = np.empty(n_samples)
     cycle_flags = np.zeros(n_samples, dtype=bool)
     spectra: list[tuple[float, np.ndarray, np.ndarray]] = []
     states: list[tuple[float, StateVector]] = []
@@ -279,12 +268,8 @@ def propagate(psi0: StateVector, ham: Hamiltonian, schedule: PulseSchedule,
     n_s = psi0.n_s
 
     def record(i: int, t: float):
-        pop_c, pop_v1, pop_v2, pop_v3, _ = orbital_populations(
+        n_c[i], _, p1[i], p2[i], _ = orbital_populations(
             StateVector(vec, n_s, t))
-        n_c[i] = pop_c
-        n_v1[i] = pop_v1
-        n_v2[i] = pop_v2
-        n_v3[i] = pop_v3
         if len(boundaries) and np.min(np.abs(boundaries - t)) < tol:
             cycle_flags[i] = True
         if any(abs(t - s) < tol for s in snapshot_set):
@@ -301,27 +286,12 @@ def propagate(psi0: StateVector, ham: Hamiltonian, schedule: PulseSchedule,
                               config.krylov_dim, config.residual_tol)
         record(i, t1)
 
-    p1 = n_v2.copy()          # n_v2 = |a1|^2
-    p2 = n_v3.copy()          # n_v3 = |a2|^2
-    final = StateVector(vec.copy(), n_s, times[-1])
+    axes = {}
     if grids is not None:
         grid_s, grid_p = grids
-        energies_s, d_eps_s = grid_s.energies, grid_s.d_eps
-        energies_p, d_eps_p = grid_p.energies, grid_p.d_eps
-    else:
-        energies_s = energies_p = np.array([])
-        d_eps_s = d_eps_p = 0.0
+        axes = dict(energies_s=grid_s.energies, d_eps_s=grid_s.d_eps,
+                    energies_p=grid_p.energies, d_eps_p=grid_p.d_eps)
     return ObservableTrace(
-        times=times,
-        n_c=n_c, n_v1=n_v1, n_v2=n_v2, n_v3=n_v3,
-        P1=p1, P2=p2, P_bound=p1 + p2,
-        cycle_flags=cycle_flags,
-        spectra=spectra,
-        states=states,
-        energies_s=energies_s,
-        energies_p=energies_p,
-        d_eps_s=d_eps_s,
-        d_eps_p=d_eps_p,
-        drive_mode=schedule.mode,
-        final_state=final,
-    )
+        times=times, n_c=n_c, P1=p1, P2=p2, cycle_flags=cycle_flags,
+        spectra=spectra, states=states, drive_mode=schedule.mode,
+        final_state=StateVector(vec.copy(), n_s, times[-1]), **axes)

@@ -1,13 +1,17 @@
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import zenoauger as za
+import zenoauger.propagator as prop
 from zenoauger.cli import main
 from zenoauger.config import (build_config, canonical_text, expand,
                               format_float, parse_config_text)
+from zenoauger.drive import MODES
 
 FAST_DRIVEN = [
     "--override", "model.N=101",
@@ -95,6 +99,8 @@ class TestRunCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["fit"]["r_squared"] > 0.98
         assert summary["norm_error"] < 1e-9
+        provenance = json.loads((out / "provenance.json").read_text())
+        assert {"python", "numpy", "scipy"} <= set(provenance)
 
     def test_reruns_are_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -212,3 +218,47 @@ class TestOtherCommands:
 
     def test_run_requires_config_or_preset(self, capsys):
         assert main(["run", "--out", "/tmp/never"]) == 2
+
+    def test_solver_failure_exits_3(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(prop, "MAX_HALVINGS", 0)
+        code = main(["run", "--preset", "li", *FAST, "--override",
+                     "propagation.krylov_dim=4", "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("solver error: Krylov residual")
+        assert err.count("\n") == 1
+
+
+class TestValidateAgreesWithRun:
+    @pytest.mark.parametrize("override", [
+        "propagation.residual_tol=-1",
+        "propagation.residual_tol=nan",
+        "propagation.krylov_dim=2",
+        "propagation.T_total=-5 fs",
+        "drive.t_m=-1 fs",
+        "propagation.T_total=0.25 fs",  # no stride sample in the fit window
+    ])
+    def test_refused_by_both(self, override, tmp_path):
+        args = ["--preset", "li", "--override", override]
+        assert main(["validate", *args]) == 2
+        assert main(["run", *args, "--out", str(tmp_path / "o")]) == 2
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(3, 61),
+           t_total=st.floats(-1.0, 3.0),
+           tol=st.sampled_from(["-1", "0", "nan", "1e-10", "1e-6"]),
+           krylov_dim=st.integers(2, 20),
+           t_m=st.floats(-0.5, 0.5),
+           mode=st.sampled_from(MODES))
+    def test_validate_refuses_exactly_what_run_refuses(
+            self, n, t_total, tol, krylov_dim, t_m, mode):
+        args = ["--preset", "li"]
+        for override in (f"model.N={n}", f"propagation.T_total={t_total!r} fs",
+                         f"propagation.residual_tol={tol}",
+                         f"propagation.krylov_dim={krylov_dim}",
+                         f"drive.t_m={t_m!r} fs", f"drive.mode={mode}"):
+            args += ["--override", override]
+        validated = main(["validate", *args])
+        with tempfile.TemporaryDirectory() as out:
+            ran = main(["run", *args, "--out", out])
+        assert (validated == 2) == (ran == 2), (validated, ran)

@@ -35,7 +35,9 @@ class TestTwoModeConcurrence:
             za.two_mode_concurrence(psi, 1, 1)
 
     def test_closed_form_matches_eigenvalue_route(self):
-        # 100 random mode pairs of random single-excitation states
+        # 100 random mode pairs of random single-excitation states, each
+        # also with its continuum amplitudes scaled to C ~ 1e-9, where
+        # the eigenvalues of rho @ rho_tilde are of order C^2
         rng = np.random.default_rng(2024)
         n_modes = 24
         for _ in range(100):
@@ -44,6 +46,11 @@ class TestTwoModeConcurrence:
             eig = za.two_mode_concurrence(psi, int(k), int(kp))
             closed = 2.0 * abs(psi.b[k]) * abs(psi.b[kp])
             assert abs(eig - closed) < 1e-10
+            weak = psi.data.copy()
+            weak[2:] *= math.sqrt(1e-9 / closed)
+            eig = za.two_mode_concurrence(StateVector(weak, n_s=12),
+                                          int(k), int(kp))
+            assert abs(eig - 1e-9) < 1e-12 * 1e-9
 
     def test_reduced_density_matrix_structure(self):
         psi = continuum_state([0.6, 0.8j], n_s=2)

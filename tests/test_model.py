@@ -83,11 +83,6 @@ class TestAssemble:
             direct = ham.apply(v.copy(), g)
             assert np.max(np.abs(direct - ham.dense(g) @ v)) < 1e-13
 
-    def test_sparse_form_matches_apply(self):
-        _, _, _, ham = small_system(n_points=63)
-        v = random_state(ham, 5)
-        assert np.max(np.abs(ham.static_csr.dot(v) - ham.apply(v))) < 1e-14
-
     def test_grid_center_mismatch_rejected(self):
         levels, grid_s, _, _ = small_system()
         wrong = za.build_grid("P", levels.epsA2 * 1.1, za.ev_to_au(3.0),

@@ -15,10 +15,8 @@ def make_state(a1=0.0, a2=0.0, b=(), n_s=0):
 
 
 def synthetic_trace(times, p_bound, mode="off"):
-    z = np.zeros_like(times)
     return ObservableTrace(
-        times=times, n_c=1.0 - p_bound, n_v1=p_bound, n_v2=p_bound,
-        n_v3=z, P1=p_bound, P2=z, P_bound=p_bound,
+        times=times, n_c=1.0 - p_bound, P1=p_bound, P2=np.zeros_like(times),
         cycle_flags=np.zeros_like(times, dtype=bool), drive_mode=mode)
 
 

@@ -152,6 +152,9 @@ class TestPropagate:
             prop.PropagationConfig(T_total=0.0)
         with pytest.raises(ValueError):
             prop.PropagationConfig(T_total=1.0, krylov_dim=2)
+        for tol in (-1.0, 0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="residual_tol"):
+                prop.PropagationConfig(T_total=1.0, residual_tol=tol)
 
 
 class TestDriveStepBound:
