@@ -15,21 +15,18 @@ from .units import (
     intensity_from_rabi, rabi_from_intensity, to_atomic,
 )
 from .model import (
-    ContinuumGrid, Hamiltonian, LevelScheme, ResolutionReport, assemble,
-    build_grid, default_window, lifetime_to_coupling, rotating_frame,
-    validate_resolution,
+    ContinuumGrid, Hamiltonian, LevelScheme, ResolutionReport, StateVector,
+    assemble, build_grid, default_window, lifetime_to_coupling,
+    rotating_frame, validate_resolution,
 )
-from .drive import (
-    PulseSchedule, build_schedule, coupling_at, envelope_at,
-    pi_pulse_transfer_check,
-)
+from .drive import PulseSchedule, build_schedule, coupling_at, envelope_at
 from .propagator import (
-    ConvergenceError, PropagationConfig, StateVector, initial_state,
-    propagate, step,
+    ConvergenceError, PropagationConfig, initial_state,
+    pi_pulse_transfer_check, propagate, step,
 )
 from .observables import (
     LifetimeFit, ObservableTrace, Peak, Spectrum, find_peaks, fit_lifetime,
-    lineshape, orbital_populations, stark_splittings, zeno_phase_scan,
+    lineshape, orbital_populations, stark_splittings,
 )
 from .entanglement import (
     ConcurrenceMatrix, concurrence_matrix, reduced_two_mode_density,
@@ -38,4 +35,5 @@ from .entanglement import (
 from .config import (
     ConfigError, PRESETS, RunConfig, RunResult, apply_axis_value,
     canonical_text, execute, expand, load_config, plan, preset_config,
+    zeno_phase_scan,
 )

@@ -19,11 +19,12 @@ from pathlib import Path
 import numpy
 import scipy
 
-from . import ConvergenceError, __version__, units
+from . import __version__, units
 from .config import (ConfigError, RunConfig, apply_axis_value,
                      canonical_text, execute, format_float, load_config,
                      plan, preset_config, PRESETS)
 from .observables import ObservableTrace
+from .propagator import ConvergenceError
 from .units import au_to_ev, au_to_fs
 
 SWEEP_AXES = ("Omega2", "intensity", "t_m", "dt_delay", "omega")
@@ -81,11 +82,10 @@ def _trace_csv(trace: ObservableTrace) -> str:
 
 def _spectrum_csv(trace: ObservableTrace) -> str:
     lines = ["t_fs,region,eps_eV,A,A_per_eV"]
-    for t_snap, a_s, a_p in trace.spectra:
-        t_fs = format_float(au_to_fs(float(t_snap)))
-        for region, energies, a, d_eps in (
-                ("S", trace.energies_s, a_s, trace.d_eps_s),
-                ("P", trace.energies_p, a_p, trace.d_eps_p)):
+    for spectrum in trace.spectra:
+        t_fs = format_float(au_to_fs(float(spectrum.time)))
+        for region in ("S", "P"):
+            energies, a, d_eps = spectrum.region(region)
             for eps, weight in zip(energies, a):
                 lines.append(",".join((
                     t_fs, region,
@@ -182,17 +182,10 @@ def _run_sweep_point(payload):
     try:
         result = execute(apply_axis_value(cfg, axis, value_au))
         emit(result, point_dir)
-        fit = result.fit
-        return {
-            "value": value_label,
-            "tau_eff_fs": au_to_fs(fit.tau_eff)
-                          if math.isfinite(fit.tau_eff) else math.inf,
-            "tau_one_over_e_fs": au_to_fs(fit.tau_one_over_e)
-                                 if math.isfinite(fit.tau_one_over_e)
-                                 else math.inf,
-            "r_squared": fit.r_squared,
-            "status": "ok",
-        }
+        fit = _summary(result)["fit"]
+        return {"value": value_label, "tau_eff_fs": fit["tau_eff_fs"],
+                "tau_one_over_e_fs": fit["tau_one_over_e_fs"],
+                "r_squared": fit["r_squared"], "status": "ok"}
     except Exception as exc:  # per-row failure must not kill the sweep
         return {"value": value_label, "tau_eff_fs": math.nan,
                 "tau_one_over_e_fs": math.nan, "r_squared": math.nan,

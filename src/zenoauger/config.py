@@ -37,10 +37,7 @@ class ConfigError(ValueError):
 
 def format_float(x: float) -> str:
     """Canonical scientific notation with 17 significant digits."""
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return np.format_float_scientific(x, precision=16, unique=False,
-                                      exp_digits=2)
+    return "%.16e" % x
 
 
 @dataclass(frozen=True)
@@ -399,6 +396,27 @@ def execute(cfg: RunConfig) -> RunResult:
     peaks = find_peaks(lineshape(trace, trace.T))
     return RunResult(**vars(p), trace=trace, fit=fit, peaks=peaks,
                      splittings=stark_splittings(peaks))
+
+
+def zeno_phase_scan(base_config: RunConfig, axis: str, values) -> list[dict]:
+    """Run the base configuration once per axis value; tabulate lifetimes.
+
+    For tau1 < tau2 every point sits at or above the unperturbed lifetime
+    (measurement only slows the decay); with the lifetimes swapped at
+    least one point falls below it (the intervention accelerates decay).
+    """
+    if len(values) < 3:
+        raise ValueError(f"a scan needs at least 3 points, got {len(values)}")
+    rows = []
+    for value in values:
+        fit = execute(apply_axis_value(base_config, axis, value)).fit
+        rows.append({
+            "value": float(value),
+            "tau_eff": fit.tau_eff,
+            "tau_one_over_e": fit.tau_one_over_e,
+            "r_squared": fit.r_squared,
+        })
+    return rows
 
 
 # Named scenarios.  li / li_plus are the lithium atom and the hollow

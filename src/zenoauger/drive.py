@@ -179,42 +179,3 @@ def coupling_at(schedule: PulseSchedule, t: float) -> complex:
         idx = _window_index(schedule, t)
         phase_t = t - schedule.windows[idx, 0]
     return complex(schedule.Omega * f * math.sin(schedule.omega * phase_t))
-
-
-def pi_pulse_transfer_check(
-    Omega: float,
-    omega: float,
-    delta: float,
-    mode: str = "rwa_pulsed",
-    dt_max: float | None = None,
-    residual_tol: float = 1e-13,
-) -> float:
-    """Propagate |1> through one pulse with decay disabled; return P2.
-
-    A two-level system with splitting omega - delta is driven for exactly
-    t_pi.  The exact two-level result is
-    P2 = Omega^2/(Omega^2 + delta^2) * sin^2(sqrt(Omega^2 + delta^2) t_pi / 2);
-    note that the often-quoted Omega^2/(Omega^2 + delta^2) alone drops the
-    sine factor and only agrees at delta = 0.  On resonance the
-    rotating-wave result is 1 up to solver tolerance, while the full field
-    picks up counter-rotating corrections of order Omega/omega.
-    """
-    from .model import Hamiltonian, rotating_frame
-    from .propagator import evolve_interval
-
-    splitting = omega - delta
-    ham = Hamiltonian(diag=np.array([0.0, splitting]),
-                      m_s=np.zeros(0), m_p=np.zeros(0))
-    schedule = build_schedule(Omega, omega, delta, t_m=0.0, dt_delay=0.0,
-                              mode=mode, T_total=math.pi / Omega)
-    if schedule.is_rwa:
-        ham = rotating_frame(ham, omega)
-    if dt_max is None:
-        dt_max = schedule.t_pi / 200.0
-        if not schedule.is_rwa:
-            dt_max = min(dt_max, (2.0 * math.pi / omega) / 40.0)
-    psi = np.zeros(2, dtype=complex)
-    psi[0] = 1.0
-    psi = evolve_interval(psi, 0.0, schedule.t_pi, ham, schedule, dt_max,
-                          krylov_dim=8, residual_tol=residual_tol)
-    return float(abs(psi[1]) ** 2)

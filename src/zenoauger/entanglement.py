@@ -10,14 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .model import StateVector
 from .units import au_to_ev, au_to_fs
-
-if TYPE_CHECKING:  # pragma: no cover - types only
-    from .propagator import StateVector
 
 EMISSION_FLOOR = 1e-12
 
@@ -30,7 +27,7 @@ _SPIN_FLIP = np.array([
 ], dtype=float)
 
 
-def reduced_two_mode_density(psi: "StateVector", k: int, kp: int) -> np.ndarray:
+def reduced_two_mode_density(psi: StateVector, k: int, kp: int) -> np.ndarray:
     """Density matrix of modes (k, k') in the basis {|00>, |01>, |10>, |11>}.
 
     All other modes and the bound amplitudes are traced out; with a single
@@ -66,7 +63,7 @@ def wootters_concurrence(rho: np.ndarray) -> float:
     return float(max(0.0, lams[0] - lams[1] - lams[2] - lams[3]))
 
 
-def two_mode_concurrence(psi: "StateVector", k: int, kp: int) -> float:
+def two_mode_concurrence(psi: StateVector, k: int, kp: int) -> float:
     """Concurrence between continuum modes k and k' of a pure state."""
     return wootters_concurrence(reduced_two_mode_density(psi, k, kp))
 
@@ -131,7 +128,7 @@ def write_concurrence(cmat: ConcurrenceMatrix, directory,
     return out
 
 
-def concurrence_matrix(psi: "StateVector",
+def concurrence_matrix(psi: StateVector,
                        mode_energies: np.ndarray | None = None) -> ConcurrenceMatrix:
     """Full pairwise concurrence via the single-excitation closed form.
 

@@ -79,10 +79,7 @@ class ContinuumGrid:
     region: str
     energies: np.ndarray
     couplings: np.ndarray
-    window: float
     eps_center: float
-    n_exponent: int
-    tau: float
 
     @property
     def n_points(self) -> int:
@@ -150,15 +147,8 @@ def build_grid(
     shape = np.sqrt(density_of_states(energies, n_exponent)
                     / density_of_states(epsA, n_exponent))
     couplings = m_center * math.sqrt(d_eps) * shape
-    return ContinuumGrid(
-        region=region,
-        energies=energies,
-        couplings=couplings,
-        window=window,
-        eps_center=epsA,
-        n_exponent=n_exponent,
-        tau=tau,
-    )
+    return ContinuumGrid(region=region, energies=energies,
+                         couplings=couplings, eps_center=epsA)
 
 
 def default_window(tau_min: float, omega_rabi_max: float = 0.0) -> float:
@@ -185,7 +175,6 @@ class Hamiltonian:
     m_s: np.ndarray
     m_p: np.ndarray
     frame: str = "lab"
-    frame_shift: float = 0.0
 
     @property
     def n_s(self) -> int:
@@ -245,6 +234,39 @@ class Hamiltonian:
         return h
 
 
+@dataclass
+class StateVector:
+    """Complex amplitudes over the full basis: (a1, a2, continuum S then P)."""
+
+    data: np.ndarray
+    n_s: int
+    time_stamp: float = 0.0
+
+    @property
+    def a1(self) -> complex:
+        return complex(self.data[0])
+
+    @property
+    def a2(self) -> complex:
+        return complex(self.data[1])
+
+    @property
+    def b(self) -> np.ndarray:
+        return self.data[2:]
+
+    @property
+    def b_s(self) -> np.ndarray:
+        return self.data[2:2 + self.n_s]
+
+    @property
+    def b_p(self) -> np.ndarray:
+        return self.data[2 + self.n_s:]
+
+    @property
+    def norm(self) -> float:
+        return float(np.linalg.norm(self.data))
+
+
 def assemble(levels: LevelScheme, grid_s: ContinuumGrid,
              grid_p: ContinuumGrid) -> Hamiltonian:
     """Build the static Hamiltonian from a level scheme and two grids.
@@ -281,7 +303,7 @@ def rotating_frame(ham: Hamiltonian, omega: float) -> Hamiltonian:
     diag[1] -= omega
     diag[ham.p_block] -= omega
     return Hamiltonian(diag=diag, m_s=ham.m_s, m_p=ham.m_p,
-                       frame="rotating", frame_shift=omega)
+                       frame="rotating")
 
 
 @dataclass(frozen=True)

@@ -8,12 +8,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from .propagator import StateVector
+from .model import StateVector
 
 FIT_WINDOW = (0.2, 0.9)
 R_SQUARED_ACCEPT = 0.98
@@ -22,13 +20,13 @@ PEAK_NOISE_FLOOR = 1e-4
 
 @dataclass(eq=False)
 class ObservableTrace:
-    """Time series of orbital occupations plus spectral snapshots.
+    """Time series of orbital occupations plus snapshot states.
 
     ``P_bound`` and ``n_v1..3`` derive from ``P1`` and ``P2`` (see
-    :func:`orbital_populations`).  ``spectra`` holds (t, A_S, A_P) with A
-    the continuum occupations |b_k|^2 per region; ``states`` keeps the
-    full complex state at the same instants for entanglement
-    post-processing.  ``cycle_flags`` marks cycle-boundary samples.
+    :func:`orbital_populations`).  ``states`` holds the full complex
+    state at each snapshot time, the last one at the final sample;
+    ``spectra`` derives from them.  ``cycle_flags`` marks cycle-boundary
+    samples.
     """
 
     times: np.ndarray
@@ -36,14 +34,24 @@ class ObservableTrace:
     P1: np.ndarray
     P2: np.ndarray
     cycle_flags: np.ndarray
-    spectra: list = field(default_factory=list)
-    states: list = field(default_factory=list)
+    states: list[StateVector] = field(default_factory=list)
     energies_s: np.ndarray = field(default_factory=lambda: np.array([]))
     energies_p: np.ndarray = field(default_factory=lambda: np.array([]))
     d_eps_s: float = 0.0
     d_eps_p: float = 0.0
-    drive_mode: str = "off"
-    final_state: "StateVector | None" = None
+
+    @property
+    def final_state(self) -> StateVector:
+        return self.states[-1]
+
+    @property
+    def spectra(self) -> list[Spectrum]:
+        """One spectrum per snapshot state: A = |b_k|^2 per region."""
+        return [Spectrum(time=psi.time_stamp,
+                         energies_s=self.energies_s, A_s=abs(psi.b_s) ** 2,
+                         energies_p=self.energies_p, A_p=abs(psi.b_p) ** 2,
+                         d_eps_s=self.d_eps_s, d_eps_p=self.d_eps_p)
+                for psi in self.states]
 
     @property
     def P_bound(self) -> np.ndarray:
@@ -67,7 +75,7 @@ class ObservableTrace:
         return float(np.max(np.abs(total - 2.0)))
 
 
-def orbital_populations(psi: "StateVector"):
+def orbital_populations(psi: StateVector):
     """Orbital occupations from the two-particle amplitudes.
 
     With |1> = |v1 v2>, |2> = |v1 v3> and |k> = |eps_k c>:
@@ -111,8 +119,7 @@ def fit_lifetime(trace: ObservableTrace) -> LifetimeFit:
     T = trace.T
     lo, hi = FIT_WINDOW[0] * T, FIT_WINDOW[1] * T
     in_window = in_fit_window(trace.times)
-    use_envelope = trace.drive_mode.endswith("pulsed") and trace.cycle_flags.any()
-    sel = in_window & trace.cycle_flags if use_envelope else in_window
+    sel = in_window & trace.cycle_flags  # only pulsed schedules flag samples
     if np.count_nonzero(sel) < 3:
         sel = in_window
     t = trace.times[sel]
@@ -196,15 +203,10 @@ class Spectrum:
 def lineshape(trace: ObservableTrace, t: float) -> Spectrum:
     """The spectral snapshot recorded at time t."""
     tol = 1e-6 * max(trace.T, 1.0)
-    for t_snap, a_s, a_p in trace.spectra:
-        if abs(t_snap - t) < tol:
-            return Spectrum(
-                time=t_snap,
-                energies_s=trace.energies_s, A_s=a_s,
-                energies_p=trace.energies_p, A_p=a_p,
-                d_eps_s=trace.d_eps_s, d_eps_p=trace.d_eps_p,
-            )
-    available = [snap[0] for snap in trace.spectra]
+    for spectrum in trace.spectra:
+        if abs(spectrum.time - t) < tol:
+            return spectrum
+    available = [psi.time_stamp for psi in trace.states]
     raise ValueError(f"no spectral snapshot at t = {t}; recorded at {available}")
 
 
@@ -297,26 +299,3 @@ def stark_splittings(peaks: list[Peak]) -> dict[str, list[float]]:
                        for j in range(i + 1, len(positions))]
     return out
 
-
-def zeno_phase_scan(base_config, axis: str, values) -> list[dict]:
-    """Run the base configuration once per axis value; tabulate lifetimes.
-
-    For tau1 < tau2 every point sits at or above the unperturbed lifetime
-    (measurement only slows the decay); with the lifetimes swapped at
-    least one point falls below it (the intervention accelerates decay).
-    """
-    from .config import apply_axis_value, execute
-
-    if len(values) < 3:
-        raise ValueError(f"a scan needs at least 3 points, got {len(values)}")
-    rows = []
-    for value in values:
-        cfg = apply_axis_value(base_config, axis, value)
-        result = execute(cfg)
-        rows.append({
-            "value": float(value),
-            "tau_eff": result.fit.tau_eff,
-            "tau_one_over_e": result.fit.tau_one_over_e,
-            "r_squared": result.fit.r_squared,
-        })
-    return rows

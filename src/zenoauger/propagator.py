@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .drive import PulseSchedule, coupling_at, envelope_at
-from .model import Hamiltonian
+from .drive import PulseSchedule, build_schedule, coupling_at, envelope_at
+from .model import Hamiltonian, StateVector, rotating_frame
 from .observables import ObservableTrace, orbital_populations
 
 # Conservative caps on the step inside a drive window: resolve both the
@@ -30,39 +30,6 @@ _BREAKDOWN = 1e-14
 
 class ConvergenceError(RuntimeError):
     """Krylov residual failed to reach tolerance after maximal subdivision."""
-
-
-@dataclass
-class StateVector:
-    """Complex amplitudes over the full basis: (a1, a2, continuum S then P)."""
-
-    data: np.ndarray
-    n_s: int
-    time_stamp: float = 0.0
-
-    @property
-    def a1(self) -> complex:
-        return complex(self.data[0])
-
-    @property
-    def a2(self) -> complex:
-        return complex(self.data[1])
-
-    @property
-    def b(self) -> np.ndarray:
-        return self.data[2:]
-
-    @property
-    def b_s(self) -> np.ndarray:
-        return self.data[2:2 + self.n_s]
-
-    @property
-    def b_p(self) -> np.ndarray:
-        return self.data[2 + self.n_s:]
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.data))
 
 
 def initial_state(ham: Hamiltonian) -> StateVector:
@@ -95,9 +62,15 @@ class PropagationConfig:
             raise ValueError(f"krylov_dim must be at least 4, got {self.krylov_dim}")
         if not 0 < self.residual_tol < math.inf:
             raise ValueError(f"residual_tol must be in (0, inf), got {self.residual_tol}")
+        for key, value in (("propagation.dt_max", self.dt_max),
+                           ("propagation.sample_stride", self.sample_dt)):
+            if value is not None and not value > 0:
+                raise ValueError(f"{key} must be positive, got {value} au")
 
     def resolved_sample_dt(self) -> float:
-        return self.sample_dt if self.sample_dt else self.T_total / 400.0
+        if self.sample_dt is not None:
+            return self.sample_dt
+        return self.T_total / 400.0
 
 
 def drive_step_bound(schedule: PulseSchedule) -> float:
@@ -237,32 +210,30 @@ def sample_times(schedule: PulseSchedule, config: PropagationConfig) -> np.ndarr
 
 def propagate(psi0: StateVector, ham: Hamiltonian, schedule: PulseSchedule,
               config: PropagationConfig, grids=None) -> ObservableTrace:
-    """Propagate and record populations, spectra and snapshot states.
+    """Propagate and record populations and snapshot states.
 
     Every pulse edge is a step boundary; observables are recorded at the
-    configured stride and additionally at every cycle boundary.  Full
-    spectral snapshots A(eps_k, t) (and the complex state, for
-    entanglement post-processing) are kept at the configured snapshot
-    times and at the final time.  Passing the pair of continuum grids
-    attaches their energy axes to the trace so spectra can be plotted
-    against emission energy regardless of the propagation frame.
+    configured stride and additionally at every cycle boundary.  The
+    complex state, from which spectra and entanglement measures follow,
+    is kept at the configured snapshot times and at the final sample.
+    Passing the pair of continuum grids attaches their energy axes to the
+    trace so spectra can be plotted against emission energy regardless
+    of the propagation frame.
     """
     times = sample_times(schedule, config)
     n_samples = len(times)
     drive_bound = drive_step_bound(schedule)
-    if config.dt_max:
+    if config.dt_max is not None:
         drive_bound = min(drive_bound, config.dt_max)
 
     boundaries = schedule.cycle_boundaries
-    snapshot_set = list(config.snapshot_times) + [config.T_total]
     tol = 1e-9 * max(config.T_total, 1.0)
 
     n_c = np.empty(n_samples)
     p1 = np.empty(n_samples)
     p2 = np.empty(n_samples)
     cycle_flags = np.zeros(n_samples, dtype=bool)
-    spectra: list[tuple[float, np.ndarray, np.ndarray]] = []
-    states: list[tuple[float, StateVector]] = []
+    states: list[StateVector] = []
 
     vec = psi0.data.copy()
     n_s = psi0.n_s
@@ -272,10 +243,9 @@ def propagate(psi0: StateVector, ham: Hamiltonian, schedule: PulseSchedule,
             StateVector(vec, n_s, t))
         if len(boundaries) and np.min(np.abs(boundaries - t)) < tol:
             cycle_flags[i] = True
-        if any(abs(t - s) < tol for s in snapshot_set):
-            mags = np.abs(vec[2:]) ** 2
-            spectra.append((t, mags[:n_s].copy(), mags[n_s:].copy()))
-            states.append((t, StateVector(vec.copy(), n_s, t)))
+        if (i == n_samples - 1
+                or any(abs(t - s) < tol for s in config.snapshot_times)):
+            states.append(StateVector(vec.copy(), n_s, t))
 
     record(0, times[0])
     for i in range(1, n_samples):
@@ -291,7 +261,42 @@ def propagate(psi0: StateVector, ham: Hamiltonian, schedule: PulseSchedule,
         grid_s, grid_p = grids
         axes = dict(energies_s=grid_s.energies, d_eps_s=grid_s.d_eps,
                     energies_p=grid_p.energies, d_eps_p=grid_p.d_eps)
-    return ObservableTrace(
-        times=times, n_c=n_c, P1=p1, P2=p2, cycle_flags=cycle_flags,
-        spectra=spectra, states=states, drive_mode=schedule.mode,
-        final_state=StateVector(vec.copy(), n_s, times[-1]), **axes)
+    return ObservableTrace(times=times, n_c=n_c, P1=p1, P2=p2,
+                           cycle_flags=cycle_flags, states=states, **axes)
+
+
+def pi_pulse_transfer_check(
+    Omega: float,
+    omega: float,
+    delta: float,
+    mode: str = "rwa_pulsed",
+    dt_max: float | None = None,
+    residual_tol: float = 1e-13,
+) -> float:
+    """Propagate |1> through one pulse with decay disabled; return P2.
+
+    A two-level system with splitting omega - delta is driven for exactly
+    t_pi.  The exact two-level result is
+    P2 = Omega^2/(Omega^2 + delta^2) * sin^2(sqrt(Omega^2 + delta^2) t_pi / 2);
+    note that the often-quoted Omega^2/(Omega^2 + delta^2) alone drops the
+    sine factor and only agrees at delta = 0.  On resonance the
+    rotating-wave result is 1 up to solver tolerance, while the full field
+    picks up counter-rotating corrections of order Omega/omega.
+    """
+    splitting = omega - delta
+    ham = Hamiltonian(diag=np.array([0.0, splitting]),
+                      m_s=np.zeros(0), m_p=np.zeros(0))
+    schedule = build_schedule(Omega, omega, delta, t_m=0.0, dt_delay=0.0,
+                              mode=mode, T_total=math.pi / Omega)
+    if schedule.is_rwa:
+        ham = rotating_frame(ham, omega)
+    if dt_max is None:
+        dt_max = schedule.t_pi / 200.0
+        if not schedule.is_rwa:
+            dt_max = min(dt_max,
+                         (2.0 * math.pi / omega) / CARRIER_STEP_FRACTION)
+    psi = np.zeros(2, dtype=complex)
+    psi[0] = 1.0
+    psi = evolve_interval(psi, 0.0, schedule.t_pi, ham, schedule, dt_max,
+                          krylov_dim=8, residual_tol=residual_tol)
+    return float(abs(psi[1]) ** 2)

@@ -86,6 +86,12 @@ class TestConfigParsing:
         assert format_float(1.0) == "1.0000000000000000e+00"
         assert format_float(math.pi) == "3.1415926535897931e+00"
         assert float(format_float(0.1)) == 0.1
+        assert format_float(-0.0) == "-0.0000000000000000e+00"
+        assert format_float(5e-324) == "4.9406564584124654e-324"
+        assert (format_float(1.7976931348623157e308)
+                == "1.7976931348623157e+308")
+        assert format_float(math.inf) == "inf"
+        assert format_float(-math.inf) == "-inf"
 
 
 class TestRunCommand:
@@ -237,6 +243,10 @@ class TestValidateAgreesWithRun:
         "propagation.T_total=-5 fs",
         "drive.t_m=-1 fs",
         "propagation.T_total=0.25 fs",  # no stride sample in the fit window
+        "propagation.dt_max=-1 fs",
+        "propagation.dt_max=0 fs",
+        "propagation.sample_stride=-1 fs",
+        "propagation.sample_stride=0 fs",
     ])
     def test_refused_by_both(self, override, tmp_path):
         args = ["--preset", "li", "--override", override]

@@ -1,0 +1,63 @@
+"""Package layout: every package import sits at module top level and the
+imports between modules point one way."""
+import ast
+import graphlib
+from pathlib import Path
+
+import pytest
+
+import zenoauger
+
+PACKAGE = Path(zenoauger.__file__).parent
+MODULES = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+           for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def package_targets(node: ast.AST) -> list[str]:
+    """Package modules an import statement loads, [] for outside imports."""
+    if isinstance(node, ast.Import):
+        return [alias.name.split(".")[1] if "." in alias.name else "__init__"
+                for alias in node.names
+                if alias.name.split(".")[0] == "zenoauger"]
+    if not isinstance(node, ast.ImportFrom):
+        return []
+    if node.level == 0:
+        if node.module is None or node.module.split(".")[0] != "zenoauger":
+            return []
+        parts = node.module.split(".")
+    else:
+        parts = ["zenoauger"] + (node.module.split(".") if node.module else [])
+    if len(parts) > 1:
+        return [parts[1]]
+    return [alias.name if alias.name in MODULES else "__init__"
+            for alias in node.names]
+
+
+@pytest.mark.parametrize("name", sorted(MODULES))
+def test_no_package_import_inside_a_function(name):
+    for func in ast.walk(MODULES[name]):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(func):
+                assert not package_targets(node), (
+                    f"{name}.{func.name} imports {package_targets(node)} "
+                    f"at line {node.lineno}")
+
+
+@pytest.mark.parametrize("name", sorted(MODULES))
+def test_no_type_checking_block(name):
+    for node in ast.walk(MODULES[name]):
+        if isinstance(node, ast.Name):
+            assert node.id != "TYPE_CHECKING", f"{name} line {node.lineno}"
+        if isinstance(node, ast.Attribute):
+            assert node.attr != "TYPE_CHECKING", f"{name} line {node.lineno}"
+
+
+def test_module_imports_are_acyclic():
+    graph = {name: {target for node in ast.walk(tree)
+                    for target in package_targets(node)}
+             for name, tree in MODULES.items()}
+    assert set().union(*graph.values()) <= set(MODULES)
+    try:
+        graphlib.TopologicalSorter(graph).prepare()
+    except graphlib.CycleError as exc:
+        pytest.fail(f"import cycle: {' -> '.join(exc.args[1])}")

@@ -14,10 +14,10 @@ def make_state(a1=0.0, a2=0.0, b=(), n_s=0):
     return StateVector(data=data, n_s=n_s)
 
 
-def synthetic_trace(times, p_bound, mode="off"):
+def synthetic_trace(times, p_bound):
     return ObservableTrace(
         times=times, n_c=1.0 - p_bound, P1=p_bound, P2=np.zeros_like(times),
-        cycle_flags=np.zeros_like(times, dtype=bool), drive_mode=mode)
+        cycle_flags=np.zeros_like(times, dtype=bool))
 
 
 class TestOrbitalPopulations:
@@ -73,7 +73,7 @@ class TestFitLifetime:
         times = np.linspace(0.0, 5.0 * tau, 501)
         clean = np.exp(-times / tau)
         noisy = clean * (1.0 + 0.3 * np.sin(40.0 * times / tau))
-        trace = synthetic_trace(times, noisy, mode="pulsed")
+        trace = synthetic_trace(times, noisy)
         flags = np.zeros_like(times, dtype=bool)
         flags[::25] = True
         noisy[flags] = clean[flags]

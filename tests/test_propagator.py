@@ -125,10 +125,15 @@ class TestPropagate:
         cfg = prop.PropagationConfig(T_total=T, sample_dt=T / 16,
                                      snapshot_times=(0.0, snap))
         trace = prop.propagate(prop.initial_state(ham), ham, sched, cfg)
-        snap_times = [s[0] for s in trace.spectra]
+        snap_times = [s.time for s in trace.spectra]
         assert len(snap_times) == 3  # 0, 2 fs, final
-        assert np.max(np.abs(trace.spectra[0][1])) == 0.0  # nothing emitted yet
-        assert trace.states[-1][1].norm == pytest.approx(1.0, abs=1e-9)
+        assert snap_times == [psi.time_stamp for psi in trace.states]
+        assert np.max(trace.spectra[0].A_s) == 0.0  # nothing emitted yet
+        assert trace.final_state is trace.states[-1]
+        assert trace.final_state.norm == pytest.approx(1.0, abs=1e-9)
+        for spectrum, psi in zip(trace.spectra, trace.states):
+            assert np.array_equal(spectrum.A_s, abs(psi.b_s) ** 2)
+            assert np.array_equal(spectrum.A_p, abs(psi.b_p) ** 2)
 
     def test_step_halving_converges_final_populations(self):
         # full-field drive; at 640 carrier samples the exponential-midpoint
@@ -155,6 +160,11 @@ class TestPropagate:
         for tol in (-1.0, 0.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="residual_tol"):
                 prop.PropagationConfig(T_total=1.0, residual_tol=tol)
+        for bad in (-1.0, 0.0):
+            with pytest.raises(ValueError, match="propagation.dt_max"):
+                prop.PropagationConfig(T_total=1.0, dt_max=bad)
+            with pytest.raises(ValueError, match="propagation.sample_stride"):
+                prop.PropagationConfig(T_total=1.0, sample_dt=bad)
 
 
 class TestDriveStepBound:
