@@ -288,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated axis values")
     p_sweep.add_argument("--workers", type=int,
-                         default=int(os.environ.get(WORKERS_ENV, "1")),
+                         default=os.environ.get(WORKERS_ENV, "1"),
                          help=f"concurrent points (default ${WORKERS_ENV} or 1)")
     p_sweep.set_defaults(func=cmd_sweep)
 

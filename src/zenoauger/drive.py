@@ -91,6 +91,11 @@ def build_schedule(
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if envelope not in ENVELOPES:
         raise ValueError(f"envelope must be one of {ENVELOPES}, got {envelope!r}")
+    for name, value in (("Omega", Omega), ("omega", omega), ("t_m", t_m),
+                        ("dt_delay", dt_delay), ("ramp", ramp),
+                        ("T_total", T_total)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if not T_total > 0:
         raise ValueError(f"T_total must be positive, got {T_total}")
     if t_m < 0 or dt_delay < 0 or ramp < 0:

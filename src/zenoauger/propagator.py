@@ -44,8 +44,9 @@ class PropagationConfig:
     """Solver settings; times in a.u.
 
     ``dt_max`` caps the step inside drive windows on top of the built-in
-    pulse/carrier bounds; ``sample_dt`` is the observable output stride
-    (cycle boundaries and window edges are always sampled as well).
+    pulse/carrier bounds; ``sample_dt`` is the observable output stride,
+    T_total / 400 unless given (cycle boundaries and window edges are
+    always sampled as well).  Snapshot times lie in [0, T_total].
     """
 
     T_total: float
@@ -56,8 +57,8 @@ class PropagationConfig:
     snapshot_times: tuple[float, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        if not self.T_total > 0:
-            raise ValueError(f"T_total must be positive, got {self.T_total}")
+        if not 0 < self.T_total < math.inf:
+            raise ValueError(f"T_total must be positive and finite, got {self.T_total}")
         if self.krylov_dim < 4:
             raise ValueError(f"krylov_dim must be at least 4, got {self.krylov_dim}")
         if not 0 < self.residual_tol < math.inf:
@@ -66,11 +67,13 @@ class PropagationConfig:
                            ("propagation.sample_stride", self.sample_dt)):
             if value is not None and not value > 0:
                 raise ValueError(f"{key} must be positive, got {value} au")
-
-    def resolved_sample_dt(self) -> float:
-        if self.sample_dt is not None:
-            return self.sample_dt
-        return self.T_total / 400.0
+        if self.sample_dt is None:
+            self.sample_dt = self.T_total / 400.0
+        for s in self.snapshot_times:
+            if not 0.0 <= s <= self.T_total:
+                raise ValueError(
+                    f"propagation.spectrum_snapshot_times must lie in "
+                    f"[0, T_total = {self.T_total}] au, got {s} au")
 
 
 def drive_step_bound(schedule: PulseSchedule) -> float:
@@ -192,20 +195,21 @@ def evolve_interval(vec: np.ndarray, t0: float, t1: float, ham: Hamiltonian,
 def sample_times(schedule: PulseSchedule, config: PropagationConfig) -> np.ndarray:
     """Output grid: stride samples, window edges, cycle boundaries, snapshots."""
     T = config.T_total
-    stride = config.resolved_sample_dt()
-    points = [np.arange(0.0, T, stride), [T]]
-    if len(schedule.windows):
-        points.append(schedule.windows.ravel())
-    points.append(schedule.cycle_boundaries)
-    points.append(np.asarray(config.snapshot_times, dtype=float))
-    merged = np.concatenate([np.atleast_1d(np.asarray(p, dtype=float))
-                             for p in points])
-    merged = merged[(merged >= 0.0) & (merged <= T * (1 + 1e-12))]
-    merged = np.unique(merged)
+    merged = np.unique(np.concatenate((
+        np.arange(0.0, T, config.sample_dt), [T], schedule.windows.ravel(),
+        schedule.cycle_boundaries, config.snapshot_times)))
     # collapse pairs closer than the time resolution of interest
     keep = np.ones(len(merged), dtype=bool)
     keep[1:] = np.diff(merged) > 1e-9 * max(T, 1.0)
     return merged[keep]
+
+
+def _near(times: np.ndarray, points, tol: float) -> np.ndarray:
+    """Mask of the times strictly closer than tol to one of the points."""
+    near = np.zeros(len(times), dtype=bool)
+    for s in points:
+        near |= np.abs(times - s) < tol
+    return near
 
 
 def propagate(psi0: StateVector, ham: Hamiltonian, schedule: PulseSchedule,
@@ -226,35 +230,29 @@ def propagate(psi0: StateVector, ham: Hamiltonian, schedule: PulseSchedule,
     if config.dt_max is not None:
         drive_bound = min(drive_bound, config.dt_max)
 
-    boundaries = schedule.cycle_boundaries
     tol = 1e-9 * max(config.T_total, 1.0)
+    cycle_flags = _near(times, schedule.cycle_boundaries, tol)
+    snapshot = _near(times, config.snapshot_times, tol)
+    snapshot[-1] = True
 
     n_c = np.empty(n_samples)
     p1 = np.empty(n_samples)
     p2 = np.empty(n_samples)
-    cycle_flags = np.zeros(n_samples, dtype=bool)
     states: list[StateVector] = []
 
     vec = psi0.data.copy()
     n_s = psi0.n_s
-
-    def record(i: int, t: float):
+    for i, t in enumerate(times):
+        if i:
+            t0 = times[i - 1]
+            inside = envelope_at(schedule, 0.5 * (t0 + t)) > 0.0
+            dt_cap = drive_bound if inside else (t - t0)
+            vec = evolve_interval(vec, t0, t, ham, schedule, dt_cap,
+                                  config.krylov_dim, config.residual_tol)
         n_c[i], _, p1[i], p2[i], _ = orbital_populations(
             StateVector(vec, n_s, t))
-        if len(boundaries) and np.min(np.abs(boundaries - t)) < tol:
-            cycle_flags[i] = True
-        if (i == n_samples - 1
-                or any(abs(t - s) < tol for s in config.snapshot_times)):
+        if snapshot[i]:
             states.append(StateVector(vec.copy(), n_s, t))
-
-    record(0, times[0])
-    for i in range(1, n_samples):
-        t0, t1 = times[i - 1], times[i]
-        inside = envelope_at(schedule, 0.5 * (t0 + t1)) > 0.0
-        dt_cap = drive_bound if inside else (t1 - t0)
-        vec = evolve_interval(vec, t0, t1, ham, schedule, dt_cap,
-                              config.krylov_dim, config.residual_tol)
-        record(i, t1)
 
     axes = {}
     if grids is not None:
@@ -270,13 +268,13 @@ def pi_pulse_transfer_check(
     omega: float,
     delta: float,
     mode: str = "rwa_pulsed",
-    dt_max: float | None = None,
     residual_tol: float = 1e-13,
 ) -> float:
     """Propagate |1> through one pulse with decay disabled; return P2.
 
     A two-level system with splitting omega - delta is driven for exactly
-    t_pi.  The exact two-level result is
+    t_pi, stepped as :func:`propagate` steps every run.  The exact
+    two-level result is
     P2 = Omega^2/(Omega^2 + delta^2) * sin^2(sqrt(Omega^2 + delta^2) t_pi / 2);
     note that the often-quoted Omega^2/(Omega^2 + delta^2) alone drops the
     sine factor and only agrees at delta = 0.  On resonance the
@@ -290,13 +288,6 @@ def pi_pulse_transfer_check(
                               mode=mode, T_total=math.pi / Omega)
     if schedule.is_rwa:
         ham = rotating_frame(ham, omega)
-    if dt_max is None:
-        dt_max = schedule.t_pi / 200.0
-        if not schedule.is_rwa:
-            dt_max = min(dt_max,
-                         (2.0 * math.pi / omega) / CARRIER_STEP_FRACTION)
-    psi = np.zeros(2, dtype=complex)
-    psi[0] = 1.0
-    psi = evolve_interval(psi, 0.0, schedule.t_pi, ham, schedule, dt_max,
-                          krylov_dim=8, residual_tol=residual_tol)
-    return float(abs(psi[1]) ** 2)
+    config = PropagationConfig(T_total=schedule.t_pi, krylov_dim=8,
+                               residual_tol=residual_tol)
+    return float(propagate(initial_state(ham), ham, schedule, config).P2[-1])

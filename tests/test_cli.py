@@ -210,6 +210,16 @@ class TestOtherCommands:
         for name in ("li", "li_plus", "fig3_circles", "fig3_squares", "fig4"):
             assert name in out
 
+    def test_malformed_workers_env_only_fails_sweep(self, tmp_path,
+                                                    monkeypatch, capsys):
+        monkeypatch.setenv("ZENOAUGER_WORKERS", "two")
+        assert main(["presets"]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--preset", "li", "--axis", "t_m",
+                  "--values", "0.2", "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "invalid int value: 'two'" in capsys.readouterr().err
+
     def test_validate_ok_with_linewidth_note(self, capsys):
         code = main(["validate", "--preset", "li"])
         assert code == 0
@@ -247,6 +257,16 @@ class TestValidateAgreesWithRun:
         "propagation.dt_max=0 fs",
         "propagation.sample_stride=-1 fs",
         "propagation.sample_stride=0 fs",
+        "propagation.T_total=inf fs",
+        "drive.t_m=nan fs",
+        "drive.t_m=inf fs",
+        "drive.ramp=nan fs",
+        "drive.dt_delay=nan fs",
+        "drive.Omega=inf eV",
+        "drive.omega=inf eV",
+        "drive.omega=nan eV",
+        "propagation.spectrum_snapshot_times=200 fs",
+        "propagation.spectrum_snapshot_times=-3 fs",
     ])
     def test_refused_by_both(self, override, tmp_path):
         args = ["--preset", "li", "--override", override]

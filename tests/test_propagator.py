@@ -153,8 +153,14 @@ class TestPropagate:
         assert diff < 1e-6
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            prop.PropagationConfig(T_total=0.0)
+        for T in (0.0, math.inf):
+            with pytest.raises(ValueError):
+                prop.PropagationConfig(T_total=T)
+        for snap in (-1.0, 2.0):
+            with pytest.raises(ValueError,
+                               match="propagation.spectrum_snapshot_times"):
+                prop.PropagationConfig(T_total=1.0, snapshot_times=(snap,))
+        assert prop.PropagationConfig(T_total=4.0).sample_dt == 0.01
         with pytest.raises(ValueError):
             prop.PropagationConfig(T_total=1.0, krylov_dim=2)
         for tol in (-1.0, 0.0, math.nan, math.inf):
