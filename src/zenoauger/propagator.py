@@ -17,11 +17,13 @@ from .drive import PulseSchedule, build_schedule, coupling_at, envelope_at
 from .model import Hamiltonian, StateVector, rotating_frame
 from .observables import ObservableTrace, orbital_populations
 
-# Conservative caps on the step inside a drive window: resolve both the
-# pulse area and the carrier oscillation.  The midpoint scheme carries a
-# secular phase error that beats against a resonant carrier, so the
-# carrier must be resolved well beyond the formal stability bound for
-# lifetime fits over hundreds of cycles to be step-size converged.
+# Conservative caps on the step inside a full-field or ramped drive
+# window: resolve both the pulse area and the carrier oscillation.  The
+# midpoint scheme carries a secular phase error that beats against a
+# resonant carrier, so the carrier must be resolved well beyond the formal
+# stability bound for lifetime fits over hundreds of cycles to be
+# step-size converged.  A rotating-frame square window has no carrier and
+# a constant coupling, so H is constant there and needs neither cap.
 PULSE_STEP_FRACTION = 50.0
 CARRIER_STEP_FRACTION = 40.0
 MAX_HALVINGS = 40
@@ -44,7 +46,9 @@ class PropagationConfig:
     """Solver settings; times in a.u.
 
     ``dt_max`` caps the step inside drive windows on top of the built-in
-    pulse/carrier bounds; ``sample_dt`` is the observable output stride,
+    pulse/carrier bounds, which apply to full-field and ramped windows
+    only (a rotating-frame square window is otherwise stepped once per
+    sample interval); ``sample_dt`` is the observable output stride,
     T_total / 400 unless given (cycle boundaries and window edges are
     always sampled as well).  Snapshot times lie in [0, T_total].
     """
@@ -77,8 +81,16 @@ class PropagationConfig:
 
 
 def drive_step_bound(schedule: PulseSchedule) -> float:
-    """Largest step allowed while the drive is on."""
+    """Largest step allowed while the drive is on.
+
+    Unbounded where H is constant inside every window: without a drive,
+    and in the rotating frame with a square envelope (or no ramp), where
+    the midpoint exponential is exact for any step length.
+    """
     if not schedule.drive_active:
+        return math.inf
+    if schedule.is_rwa and (schedule.envelope == "square"
+                            or schedule.ramp == 0.0):
         return math.inf
     bound = schedule.t_pi / PULSE_STEP_FRACTION
     if schedule.omega > 0:
@@ -281,6 +293,8 @@ def pi_pulse_transfer_check(
     rotating-wave result is 1 up to solver tolerance, while the full field
     picks up counter-rotating corrections of order Omega/omega.
     """
+    if not Omega > 0:
+        raise ValueError(f"Omega must be positive, got {Omega}")
     splitting = omega - delta
     ham = Hamiltonian(diag=np.array([0.0, splitting]),
                       m_s=np.zeros(0), m_p=np.zeros(0))

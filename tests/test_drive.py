@@ -144,6 +144,11 @@ class TestPiPulseTransfer:
         p2 = za.pi_pulse_transfer_check(omega_r, omega, 0.0, mode="pulsed")
         assert p2 == pytest.approx(p2_oracle, abs=1e-5)
 
+    @pytest.mark.parametrize("Omega", [0.0, -0.01])
+    def test_nonpositive_rabi_frequency_named(self, Omega):
+        with pytest.raises(ValueError, match="Omega must be positive"):
+            za.pi_pulse_transfer_check(Omega, za.ev_to_au(2.5), 0.0)
+
 
 class TestDriveInvariants:
     def test_rwa_tracks_full_field_at_cycle_boundaries(self):

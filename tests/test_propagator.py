@@ -7,13 +7,15 @@ import scipy.linalg
 import zenoauger as za
 import zenoauger.propagator as prop
 from zenoauger.drive import build_schedule, coupling_at
+from zenoauger.model import rotating_frame
 
 from conftest import random_state, small_system
 
 
-def make_schedule(T, mode="pulsed", Omega_ev=1.0, omega_ev=10.0, t_m_fs=0.32):
+def make_schedule(T, mode="pulsed", Omega_ev=1.0, omega_ev=10.0, t_m_fs=0.32,
+                  **kwargs):
     return build_schedule(za.ev_to_au(Omega_ev), za.ev_to_au(omega_ev), 0.0,
-                          za.fs_to_au(t_m_fs), 0.0, mode, T)
+                          za.fs_to_au(t_m_fs), 0.0, mode, T, **kwargs)
 
 
 class TestStep:
@@ -152,6 +154,48 @@ class TestPropagate:
         diff = np.max(np.abs(finals(dt0) - finals(dt0 / 2)))
         assert diff < 1e-6
 
+    def test_square_rwa_run_takes_one_exponential_per_sample(self, monkeypatch):
+        calls = []
+
+        def counting(schedule, t):
+            calls.append(t)
+            return coupling_at(schedule, t)
+
+        monkeypatch.setattr(prop, "coupling_at", counting)
+        cfg = za.preset_config("li", overrides=[
+            "drive.mode=rwa_pulsed", "propagation.T_total=20 fs",
+            "model.N=201"])
+        trace = za.execute(cfg).trace
+        assert len(calls) == len(trace.times) - 1
+
+    def test_rwa_pulse_train_matches_dense_products(self):
+        # dimension 40; the oracle steps the same piecewise-constant H with
+        # scipy's dense expm, taking g from the window list directly
+        levels, _, _, ham = small_system(n_points=19)
+        Omega, delta = za.ev_to_au(4.0), za.ev_to_au(0.2)
+        omega = levels.E2 - levels.E1 + delta
+        T = za.fs_to_au(6.0)
+        sched = build_schedule(Omega, omega, delta, za.fs_to_au(0.4),
+                               za.fs_to_au(0.3), "rwa_pulsed", T)
+        assert len(sched.cycle_boundaries) >= 3
+        frame = rotating_frame(ham, omega)
+        cfg = prop.PropagationConfig(T_total=T, sample_dt=T / 25,
+                                     residual_tol=1e-12)
+        trace = prop.propagate(prop.initial_state(frame), frame, sched, cfg)
+
+        vec = prop.initial_state(frame).data
+        for i in range(1, len(trace.times)):
+            t0, t1 = trace.times[i - 1], trace.times[i]
+            mid = 0.5 * (t0 + t1)
+            inside = np.any((sched.windows[:, 0] <= mid)
+                            & (mid < sched.windows[:, 1]))
+            g = 0.5 * Omega if inside else 0.0
+            vec = scipy.linalg.expm(-1j * (t1 - t0) * frame.dense(g)) @ vec
+            assert abs(trace.P1[i] - abs(vec[0]) ** 2) < 1e-9
+            assert abs(trace.P2[i] - abs(vec[1]) ** 2) < 1e-9
+            assert abs(trace.n_c[i] - np.sum(abs(vec[2:]) ** 2)) < 1e-9
+        assert np.max(np.abs(trace.final_state.data - vec)) < 1e-9
+
     def test_config_validation(self):
         for T in (0.0, math.inf):
             with pytest.raises(ValueError):
@@ -188,3 +232,17 @@ class TestDriveStepBound:
     def test_no_bound_without_drive(self):
         sched = build_schedule(0.0, 0.0, 0.0, 0.0, 0.0, "off", 10.0)
         assert prop.drive_step_bound(sched) == math.inf
+
+    @pytest.mark.parametrize("mode", ["rwa_pulsed", "rwa_continuous"])
+    def test_no_bound_for_square_rwa_windows(self, mode):
+        for kwargs in ({}, {"envelope": "cosine_ramp", "ramp": 0.0}):
+            sched = make_schedule(1000.0, mode=mode, **kwargs)
+            assert prop.drive_step_bound(sched) == math.inf
+
+    def test_ramped_rwa_keeps_pulse_and_carrier_bound(self):
+        sched = make_schedule(1000.0, mode="rwa_pulsed", envelope="cosine_ramp",
+                              ramp=2.0)
+        carrier = 2 * math.pi / za.ev_to_au(10.0)
+        assert prop.drive_step_bound(sched) == min(
+            sched.t_pi / prop.PULSE_STEP_FRACTION,
+            carrier / prop.CARRIER_STEP_FRACTION)
