@@ -209,6 +209,8 @@ def cmd_sweep(args) -> int:
     values = [float(v) for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigError("--values needs comma-separated numbers")
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     payloads = [
@@ -216,8 +218,10 @@ def cmd_sweep(args) -> int:
          str(out / "points" / f"{i:03d}"))
         for i, v in enumerate(values)
     ]
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+    # the pool forks all of its workers at once: never more than points
+    workers = min(args.workers, len(payloads))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_sweep_point, payloads))
     else:
         rows = [_run_sweep_point(p) for p in payloads]

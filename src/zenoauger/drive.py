@@ -58,15 +58,6 @@ class PulseSchedule:
     def drive_active(self) -> bool:
         return self.mode != "off" and len(self.windows) > 0
 
-    @property
-    def cycle_period(self) -> float:
-        return 2.0 * self.t_pi + self.t_m + self.dt_delay
-
-    def total_on_time(self) -> float:
-        if len(self.windows) == 0:
-            return 0.0
-        return float(np.sum(self.windows[:, 1] - self.windows[:, 0]))
-
 
 def build_schedule(
     Omega: float,

@@ -17,6 +17,7 @@ from .model import StateVector
 from .units import au_to_ev, au_to_fs
 
 EMISSION_FLOOR = 1e-12
+_WRITE_BLOCK = 65536  # triplet rows per write: no whole-file string
 
 # sigma_y (x) sigma_y in the occupation basis {|00>, |01>, |10>, |11>}
 _SPIN_FLIP = np.array([
@@ -70,26 +71,37 @@ def two_mode_concurrence(psi: StateVector, k: int, kp: int) -> float:
 
 @dataclass(frozen=True, eq=False)
 class ConcurrenceMatrix:
-    """Symmetric, zero-diagonal concurrence over all continuum modes.
+    """Concurrence over all continuum modes, stored as its factor |b_k|.
 
-    Modes are ordered S region then P region; ``mode_energies`` carries
-    the matching emission energies.  ``n_s`` splits the two regions.
+    C_{kk'} = 2 |b_k| |b_k'| off the diagonal.  Modes are ordered S region
+    then P region; ``mode_energies`` carries the matching emission
+    energies.  ``n_s`` splits the two regions.
     """
 
     mode_energies: np.ndarray
-    C: np.ndarray
+    magnitudes: np.ndarray
     n_s: int
     time_stamp: float
 
+    @property
+    def C(self) -> np.ndarray:
+        """The dense symmetric, zero-diagonal matrix, built per access."""
+        c = 2.0 * np.outer(self.magnitudes, self.magnitudes)
+        np.fill_diagonal(c, 0.0)
+        return c
+
     def block(self, row_region: str, col_region: str) -> np.ndarray:
-        sel = {"S": slice(0, self.n_s), "P": slice(self.n_s, len(self.C))}
+        sel = {"S": slice(0, self.n_s), "P": slice(self.n_s, None)}
         return self.C[sel[row_region], sel[col_region]]
 
-    def to_sparse_triplets(self, floor: float = EMISSION_FLOOR):
-        """Upper-triangle (eps_k, eps_k', C) entries with C >= floor."""
-        rows, cols = np.nonzero(np.triu(self.C, k=1) >= floor)
-        return [(float(self.mode_energies[i]), float(self.mode_energies[j]),
-                 float(self.C[i, j])) for i, j in zip(rows, cols)]
+    def to_sparse_triplets(self, floor: float = EMISSION_FLOOR) -> np.ndarray:
+        """(n, 3) upper-triangle (eps_k, eps_k', C) rows with C >= floor."""
+        m = self.magnitudes
+        rows, cols = np.triu_indices(len(m), k=1)
+        c = 2.0 * (m[rows] * m[cols])  # as C multiplies: equal bit for bit
+        keep = c >= floor
+        e = self.mode_energies
+        return np.column_stack((e[rows[keep]], e[cols[keep]], c[keep]))
 
 
 def write_concurrence(cmat: ConcurrenceMatrix, directory,
@@ -105,12 +117,14 @@ def write_concurrence(cmat: ConcurrenceMatrix, directory,
     out = Path(directory)
     out.mkdir(parents=True, exist_ok=True)
     fmt = "%.17g"
-    lines = ["eps_k_eV,eps_kp_eV,concurrence"]
-    for e_k, e_kp, value in cmat.to_sparse_triplets(floor):
-        lines.append(",".join((fmt % au_to_ev(e_k), fmt % au_to_ev(e_kp),
-                               fmt % value)))
-    (out / "concurrence.csv").write_text("\n".join(lines) + "\n",
-                                         encoding="utf-8")
+    rows = cmat.to_sparse_triplets(floor)
+    rows[:, :2] = au_to_ev(rows[:, :2])
+    with open(out / "concurrence.csv", "w", encoding="utf-8") as handle:
+        handle.write("eps_k_eV,eps_kp_eV,concurrence\n")
+        for start in range(0, len(rows), _WRITE_BLOCK):
+            block = rows[start:start + _WRITE_BLOCK]
+            handle.write(f"{fmt},{fmt},{fmt}\n" * len(block)
+                         % tuple(block.ravel().tolist()))
     energies = cmat.mode_energies
     header = "\n".join((
         "{",
@@ -136,13 +150,11 @@ def concurrence_matrix(psi: StateVector,
     eigenvalue route in the test suite.
     """
     mags = np.abs(psi.b)
-    c = 2.0 * np.outer(mags, mags)
-    np.fill_diagonal(c, 0.0)
     if mode_energies is None:
         mode_energies = np.arange(len(mags), dtype=float)
     return ConcurrenceMatrix(
         mode_energies=np.asarray(mode_energies, dtype=float),
-        C=c,
+        magnitudes=mags,
         n_s=psi.n_s,
         time_stamp=psi.time_stamp,
     )

@@ -55,11 +55,6 @@ class LevelScheme:
             )
 
     @property
-    def delta_e(self) -> float:
-        """Bound-state separation E2 - E1."""
-        return self.E2 - self.E1
-
-    @property
     def epsA1(self) -> float:
         return self.E1 - self.eps_c
 
@@ -166,15 +161,11 @@ class Hamiltonian:
     couplings (|1> to region S only, |2> to region P only).  The single
     time-dependent element g(t) on |1><2| is supplied per matrix-vector
     product, which keeps the product cost linear in the grid size.
-
-    ``frame`` records whether the diagonal has been shifted into the frame
-    rotating at the drive frequency (used by the rotating-wave modes).
     """
 
     diag: np.ndarray
     m_s: np.ndarray
     m_p: np.ndarray
-    frame: str = "lab"
 
     @property
     def n_s(self) -> int:
@@ -302,8 +293,7 @@ def rotating_frame(ham: Hamiltonian, omega: float) -> Hamiltonian:
     diag = ham.diag.copy()
     diag[1] -= omega
     diag[ham.p_block] -= omega
-    return Hamiltonian(diag=diag, m_s=ham.m_s, m_p=ham.m_p,
-                       frame="rotating")
+    return Hamiltonian(diag=diag, m_s=ham.m_s, m_p=ham.m_p)
 
 
 @dataclass(frozen=True)

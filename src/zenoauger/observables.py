@@ -196,9 +196,6 @@ class Spectrum:
             return self.energies_p, self.A_p, self.d_eps_p
         raise ValueError(f"unknown region {name!r}")
 
-    def total_weight(self) -> float:
-        return float(np.sum(self.A_s) + np.sum(self.A_p))
-
 
 def lineshape(trace: ObservableTrace, t: float) -> Spectrum:
     """The spectral snapshot recorded at time t."""

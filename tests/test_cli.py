@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import zenoauger as za
+import zenoauger.cli as cli
 import zenoauger.propagator as prop
 from zenoauger.cli import main
 from zenoauger.config import (build_config, canonical_text, expand,
@@ -201,6 +202,36 @@ class TestSweepCommand:
         main(args + ["--out", str(out1), "--workers", "1"])
         main(args + ["--out", str(out2), "--workers", "2"])
         assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
+
+    def test_pool_no_larger_than_point_count(self, tmp_path, monkeypatch):
+        # a stub pool records its size and maps serially, so no process
+        # is started whatever --workers asks for
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        args = ["sweep", "--preset", "li", *FAST_DRIVEN, "--axis", "t_m",
+                "--values", "0.2,0.4"]
+        assert main(args + ["--out", str(tmp_path / "o"),
+                            "--workers", "64"]) == 0
+        assert sizes == [2]
+        for workers in ("0", "-3"):
+            out = tmp_path / f"w{workers}"
+            assert main(args + ["--out", str(out), "--workers", workers]) == 2
+            assert not out.exists()
+        assert sizes == [2]
 
 
 class TestOtherCommands:

@@ -94,6 +94,35 @@ class TestConcurrenceMatrix:
         assert (1.0, 3.0) in pairs
         assert (1.0, 2.0) not in pairs  # below floor
 
+    @pytest.mark.parametrize("floor", [0.0, -1.0])
+    def test_sparse_triplets_upper_triangle_at_nonpositive_floor(self, floor):
+        psi = continuum_state([0.6, 0.8, 0.0], n_s=2)
+        cmat = za.concurrence_matrix(psi, mode_energies=np.array([1., 2., 3.]))
+        triplets = cmat.to_sparse_triplets(floor=floor)
+        assert len(triplets) == 3  # n (n - 1) / 2 pairs, each once
+        assert all(e_k < e_kp for e_k, e_kp, _ in triplets)
+
+    def test_stores_only_magnitudes(self):
+        n_modes, n_s = 40, 25
+        rng = np.random.default_rng(7)
+        psi = random_single_excitation(rng, n_modes, n_s=n_s)
+        energies = np.linspace(1.0, 2.0, n_modes)
+        cmat = za.concurrence_matrix(psi, mode_energies=energies)
+        arrays = [v for v in vars(cmat).values() if isinstance(v, np.ndarray)]
+        assert arrays and all(a.shape == (n_modes,) for a in arrays)
+        mags = np.abs(psi.b)
+        dense = 2.0 * np.outer(mags, mags)
+        off = ~np.eye(n_modes, dtype=bool)
+        assert np.array_equal(cmat.C[off], dense[off])
+        assert np.all(np.diag(cmat.C) == 0.0)
+        assert np.array_equal(cmat.block("S", "P"), dense[:n_s, n_s:])
+        assert np.array_equal(cmat.block("P", "S"), dense[n_s:, :n_s])
+        assert np.array_equal(cmat.block("P", "P"), cmat.C[n_s:, n_s:])
+        rows, cols = np.triu_indices(n_modes, k=1)
+        assert np.array_equal(
+            cmat.to_sparse_triplets(floor=0.0),
+            np.column_stack((energies[rows], energies[cols], dense[rows, cols])))
+
     def test_cross_region_block_zero_without_drive(self):
         cfg = za.preset_config("li", overrides=[
             "drive.mode=off", "model.N=101", "propagation.T_total=10 fs",
@@ -137,6 +166,29 @@ class TestEmission:
         assert header["time_fs"] == pytest.approx(8.0)
         assert header["regions"]["S"][0] == pytest.approx(50.0)
         assert header["regions"]["P"][1] == pytest.approx(56.5)
+
+    @pytest.mark.parametrize("floor", [1e-12, 1e-3, 1.0])
+    def test_csv_bytes_match_dense_reference(self, tmp_path, floor):
+        # 400 modes give 79 800 pairs, more than one block of written rows
+        n_modes, n_s = 400, 200
+        rng = np.random.default_rng(11)
+        data = rng.normal(size=n_modes + 2) + 1j * rng.normal(size=n_modes + 2)
+        data[2 + rng.choice(n_modes, size=12, replace=False)] = 0.0
+        data /= np.linalg.norm(data)
+        energies = np.sort(rng.uniform(1.5, 2.5, size=n_modes))
+        cmat = za.concurrence_matrix(StateVector(data=data, n_s=n_s),
+                                     mode_energies=energies)
+        # one formatted line per pair, read from the dense matrix
+        dense = cmat.C
+        fmt = "%.17g"
+        lines = ["eps_k_eV,eps_kp_eV,concurrence"]
+        for i, j in zip(*np.nonzero(np.triu(dense, k=1) >= floor)):
+            lines.append(",".join((fmt % za.au_to_ev(float(energies[i])),
+                                   fmt % za.au_to_ev(float(energies[j])),
+                                   fmt % float(dense[i, j]))))
+        out = za.write_concurrence(cmat, tmp_path, floor=floor)
+        written = (out / "concurrence.csv").read_bytes()
+        assert written == ("\n".join(lines) + "\n").encode("utf-8")
 
 
 class TestWoottersOracle:
