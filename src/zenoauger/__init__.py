@@ -10,9 +10,8 @@ mode-entanglement matrices.
 __version__ = "0.1.0"
 
 from .units import (
-    AU_INTENSITY_WCM2, AU_TIME_FS, DEFAULT_DIPOLE_AU, HARTREE_EV, HBAR_EVFS,
-    Quantity, UnitError, au_to_ev, au_to_fs, convert, ev_to_au, fs_to_au,
-    intensity_from_rabi, rabi_from_intensity, to_atomic,
+    AU_INTENSITY_WCM2, AU_TIME_FS, DEFAULT_DIPOLE_AU, HARTREE_EV, UnitError,
+    au_to_ev, au_to_fs, ev_to_au, fs_to_au, rabi_from_intensity, to_atomic,
 )
 from .model import (
     ContinuumGrid, Hamiltonian, LevelScheme, ResolutionReport, StateVector,

@@ -20,14 +20,13 @@ import numpy
 import scipy
 
 from . import __version__, units
-from .config import (ConfigError, RunConfig, apply_axis_value,
-                     canonical_text, execute, format_float, load_config,
-                     plan, preset_config, PRESETS)
+from .config import (FLOAT_FORMAT, SWEEP_AXES, ConfigError, RunConfig,
+                     apply_axis_value, canonical_text, execute, format_float,
+                     load_config, plan, preset_config, PRESETS)
 from .observables import ObservableTrace
 from .propagator import ConvergenceError
 from .units import au_to_ev, au_to_fs
 
-SWEEP_AXES = ("Omega2", "intensity", "t_m", "dt_delay", "omega")
 WORKERS_ENV = "ZENOAUGER_WORKERS"
 
 EXIT_OK = 0
@@ -68,43 +67,38 @@ def _write(path: Path, text: str):
     path.write_text(text, encoding="utf-8")
 
 
+def _table(rows: numpy.ndarray, row_format: str) -> str:
+    """Rows of a 2-D array, each formatted with ``row_format``."""
+    return row_format * len(rows) % tuple(rows.ravel().tolist())
+
+
 def _trace_csv(trace: ObservableTrace) -> str:
-    lines = ["t_fs,n_c,n_v1,n_v2,n_v3,P1,P2,P_bound,cycle_boundary"]
-    columns = (trace.n_c, trace.n_v1, trace.n_v2, trace.n_v3,
-               trace.P1, trace.P2, trace.P_bound)
-    for i, t in enumerate(trace.times):
-        row = [format_float(au_to_fs(float(t)))]
-        row += [format_float(float(arr[i])) for arr in columns]
-        row.append("1" if trace.cycle_flags[i] else "0")
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    rows = numpy.column_stack((
+        au_to_fs(trace.times), trace.n_c, trace.n_v1, trace.n_v2,
+        trace.n_v3, trace.P1, trace.P2, trace.P_bound, trace.cycle_flags))
+    return ("t_fs,n_c,n_v1,n_v2,n_v3,P1,P2,P_bound,cycle_boundary\n"
+            + _table(rows, ",".join([FLOAT_FORMAT] * 8) + ",%d\n"))
 
 
 def _spectrum_csv(trace: ObservableTrace) -> str:
-    lines = ["t_fs,region,eps_eV,A,A_per_eV"]
+    parts = ["t_fs,region,eps_eV,A,A_per_eV\n"]
     for spectrum in trace.spectra:
         t_fs = format_float(au_to_fs(float(spectrum.time)))
         for region in ("S", "P"):
             energies, a, d_eps = spectrum.region(region)
-            for eps, weight in zip(energies, a):
-                lines.append(",".join((
-                    t_fs, region,
-                    format_float(au_to_ev(float(eps))),
-                    format_float(float(weight)),
-                    format_float(float(weight) / au_to_ev(d_eps)),
-                )))
-    return "\n".join(lines) + "\n"
+            rows = numpy.column_stack((au_to_ev(energies), a,
+                                    a / au_to_ev(d_eps)))
+            parts.append(_table(rows, f"{t_fs},{region},{FLOAT_FORMAT},"
+                                      f"{FLOAT_FORMAT},{FLOAT_FORMAT}\n"))
+    return "".join(parts)
 
 
 def _summary(result) -> dict:
     fit = result.fit
     return {
         "fit": {
-            "tau_eff_fs": au_to_fs(fit.tau_eff) if math.isfinite(fit.tau_eff)
-                          else math.inf,
-            "tau_one_over_e_fs": au_to_fs(fit.tau_one_over_e)
-                                 if math.isfinite(fit.tau_one_over_e)
-                                 else math.inf,
+            "tau_eff_fs": au_to_fs(fit.tau_eff),
+            "tau_one_over_e_fs": au_to_fs(fit.tau_one_over_e),
             "r_squared": fit.r_squared,
             "accepted": fit.accepted,
             "method": fit.method,
@@ -165,18 +159,6 @@ def _config_from_args(args) -> RunConfig:
     return preset_config(args.preset, overrides=args.override)
 
 
-def _axis_value_to_au(axis: str, value: float) -> float:
-    if axis == "Omega2":            # given in eV^2
-        return value / units.HARTREE_EV**2
-    if axis == "intensity":         # given in TW/cm^2
-        return units.to_atomic(value, "TWcm2", "intensity")
-    if axis in ("t_m", "dt_delay"):  # given in fs
-        return units.fs_to_au(value)
-    if axis == "omega":             # given in eV
-        return units.ev_to_au(value)
-    raise ConfigError(f"unknown sweep axis {axis!r}")
-
-
 def _run_sweep_point(payload):
     cfg, axis, value_au, value_label, point_dir = payload
     try:
@@ -204,8 +186,6 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _config_from_args(args)
-    if args.axis not in SWEEP_AXES:
-        raise ConfigError(f"--axis must be one of {SWEEP_AXES}")
     values = [float(v) for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigError("--values needs comma-separated numbers")
@@ -214,7 +194,7 @@ def cmd_sweep(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     payloads = [
-        (cfg, args.axis, _axis_value_to_au(args.axis, v), v,
+        (cfg, args.axis, SWEEP_AXES[args.axis](v), v,
          str(out / "points" / f"{i:03d}"))
         for i, v in enumerate(values)
     ]

@@ -35,9 +35,12 @@ class ConfigError(ValueError):
         self.key = key
 
 
+FLOAT_FORMAT = "%.16e"  # canonical: scientific, 17 significant digits
+
+
 def format_float(x: float) -> str:
     """Canonical scientific notation with 17 significant digits."""
-    return "%.16e" % x
+    return FLOAT_FORMAT % x
 
 
 @dataclass(frozen=True)
@@ -125,9 +128,14 @@ def _parse_scalar(text: str, kind: str, key: str) -> float:
     except ValueError:
         raise ConfigError(f"not a number: {num!r}", key) from None
     try:
-        return units.to_atomic(value, unit, _DIMENSIONED[kind])
+        value = units.to_atomic(value, unit, _DIMENSIONED[kind])
     except units.UnitError as exc:
         raise ConfigError(str(exc), key) from None
+    # only model.tau2 may be infinite (a stable partner level)
+    if not (math.isfinite(value) or (kind == "time_or_inf"
+                                      and value == math.inf)):
+        raise ConfigError(f"must be finite, got {text!r}", key)
+    return value
 
 
 def _parse_value(text: str, kind: str, key: str):
@@ -293,6 +301,17 @@ def load_config(path: str, overrides=None, preset: str | None = None) -> RunConf
 def preset_config(name: str, overrides=None) -> RunConfig:
     raw = apply_overrides({"preset": name}, overrides)
     return build_config(raw)
+
+
+# sweep axis -> conversion of its command-line value (Omega2 in eV^2,
+# intensity in TW/cm^2, t_m and dt_delay in fs, omega in eV) to atomic units
+SWEEP_AXES = {
+    "Omega2": lambda v: v / units.HARTREE_EV**2,
+    "intensity": lambda v: units.to_atomic(v, "TWcm2", "intensity"),
+    "t_m": units.fs_to_au,
+    "dt_delay": units.fs_to_au,
+    "omega": units.ev_to_au,
+}
 
 
 def apply_axis_value(cfg: RunConfig, axis: str, value: float) -> RunConfig:

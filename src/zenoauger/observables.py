@@ -198,12 +198,12 @@ class Spectrum:
 
 
 def lineshape(trace: ObservableTrace, t: float) -> Spectrum:
-    """The spectral snapshot recorded at time t."""
-    tol = 1e-6 * max(trace.T, 1.0)
-    for spectrum in trace.spectra:
-        if abs(spectrum.time - t) < tol:
-            return spectrum
+    """The spectral snapshot recorded nearest to time t, within 1e-6 T."""
     available = [psi.time_stamp for psi in trace.states]
+    if available:
+        i = int(np.argmin(np.abs(np.subtract(available, t))))
+        if abs(available[i] - t) < 1e-6 * max(trace.T, 1.0):
+            return trace.spectra[i]
     raise ValueError(f"no spectral snapshot at t = {t}; recorded at {available}")
 
 

@@ -93,8 +93,9 @@ def drive_step_bound(schedule: PulseSchedule) -> float:
                             or schedule.ramp == 0.0):
         return math.inf
     bound = schedule.t_pi / PULSE_STEP_FRACTION
-    if schedule.omega > 0:
-        bound = min(bound, (2.0 * math.pi / schedule.omega) / CARRIER_STEP_FRACTION)
+    omega = abs(schedule.omega)  # the carrier period is 2 pi / |omega|
+    if omega > 0:
+        bound = min(bound, (2.0 * math.pi / omega) / CARRIER_STEP_FRACTION)
     return bound
 
 

@@ -8,19 +8,15 @@ and output boundary; this module owns the conversion factors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 HARTREE_EV = 27.211386           # 1 Hartree in eV
 AU_TIME_FS = 0.02418884          # 1 a.u. of time in fs
 AU_INTENSITY_WCM2 = 3.50945e16   # intensity of a 1 a.u. field, W/cm^2
-HBAR_EVFS = HARTREE_EV * AU_TIME_FS  # hbar in eV*fs (~0.658212)
 
 # Transition dipole used when the drive strength is specified as an
 # intensity.  Derived (not tabulated): inverting the lithium pairs
 # 5.1 TW/cm^2 <-> 0.3 eV and 20.4 TW/cm^2 <-> 0.6 eV gives d = 0.9145 a.u.
 DEFAULT_DIPOLE_AU = 0.9145
-
-DIMENSIONS = ("energy", "time", "intensity", "field", "dipole", "dimensionless")
 
 # suffix -> (dimension it measures, factor to atomic units)
 # "au" is accepted for every dimension and maps to factor 1.
@@ -47,37 +43,9 @@ def _factor(unit: str, dimension: str) -> float:
     return factor
 
 
-@dataclass(frozen=True)
-class Quantity:
-    """A scalar tagged with a dimension, stored in the unit it was given in."""
-
-    value: float
-    dimension: str
-    unit: str = "au"
-
-    def __post_init__(self):
-        if self.dimension not in DIMENSIONS:
-            raise UnitError(f"unknown dimension {self.dimension!r}")
-        _factor(self.unit, self.dimension)
-
-    @property
-    def atomic(self) -> float:
-        """The value expressed in atomic units."""
-        return self.value * _factor(self.unit, self.dimension)
-
-
-def convert(q: Quantity, unit: str) -> Quantity:
-    """Re-express ``q`` in ``unit``.
-
-    Conversions are exact linear rescalings; converting to a unit of a
-    different dimension raises :class:`UnitError`.
-    """
-    return Quantity(q.atomic / _factor(unit, q.dimension), q.dimension, unit)
-
-
 def to_atomic(value: float, unit: str, dimension: str) -> float:
     """Convert a raw number carrying a unit suffix to atomic units."""
-    return Quantity(value, dimension, unit).atomic
+    return value * _factor(unit, dimension)
 
 
 def ev_to_au(energy_ev: float) -> float:
@@ -109,11 +77,3 @@ def rabi_from_intensity(intensity: float, dipole: float) -> float:
         raise ValueError(f"dipole must be positive, got {dipole}")
     return dipole * math.sqrt(intensity)
 
-
-def intensity_from_rabi(rabi: float, dipole: float) -> float:
-    """Inverse of :func:`rabi_from_intensity` (round-trips exactly)."""
-    if rabi < 0:
-        raise ValueError(f"Rabi energy must be non-negative, got {rabi}")
-    if dipole <= 0:
-        raise ValueError(f"dipole must be positive, got {dipole}")
-    return (rabi / dipole) ** 2

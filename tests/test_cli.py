@@ -65,6 +65,20 @@ class TestConfigParsing:
         with pytest.raises(za.ConfigError, match="model.E1"):
             build_config(parse_config_text(bad))
 
+    def test_non_finite_values_refused_naming_key(self):
+        for key, text in (("model.tau1", "inf fs"), ("model.tau2", "-inf fs"),
+                          ("model.tau2", "nan fs"), ("drive.Omega", "nan eV"),
+                          ("propagation.spectrum_snapshot_times",
+                           "5 fs, inf fs")):
+            raw = parse_config_text(GOOD_CONFIG)
+            raw[key] = text
+            with pytest.raises(za.ConfigError, match=key):
+                build_config(raw)
+        for text in ("inf", "inf fs"):
+            raw = parse_config_text(GOOD_CONFIG)
+            raw["model.tau2"] = text
+            assert build_config(raw).tau2 == math.inf
+
     def test_unknown_key_rejected(self):
         with pytest.raises(za.ConfigError, match="model.mass"):
             parse_config_text("model.mass = 1.0 au")
@@ -116,13 +130,14 @@ class TestRunCommand:
         assert read_all(out1) == read_all(out2)
 
     def test_expanded_config_reruns_identically(self, tmp_path):
-        out1 = tmp_path / "a"
-        main(["run", "--preset", "li", *FAST, "--out", str(out1)])
-        echoed = out1 / "config.expanded"
-        out2 = tmp_path / "b"
-        code = main(["run", "--config", str(echoed), "--out", str(out2)])
-        assert code == 0
-        assert read_all(out1) == read_all(out2)
+        for i, extra in enumerate(([], ["--override", "model.tau2=inf fs"])):
+            out1 = tmp_path / f"a{i}"
+            main(["run", "--preset", "li", *FAST, *extra, "--out", str(out1)])
+            echoed = out1 / "config.expanded"
+            out2 = tmp_path / f"b{i}"
+            code = main(["run", "--config", str(echoed), "--out", str(out2)])
+            assert code == 0
+            assert read_all(out1) == read_all(out2)
 
     def test_config_file_loading(self, tmp_path):
         path = tmp_path / "run.conf"
@@ -151,6 +166,44 @@ class TestRunCommand:
         first = lines[1].split(",")
         assert float(first[0]) == 0.0
         assert float(first[7]) == 1.0
+
+    def test_tables_match_per_cell_formatting(self):
+        # the per-cell joins the array-formatted tables replaced
+        def trace_reference(trace):
+            lines = ["t_fs,n_c,n_v1,n_v2,n_v3,P1,P2,P_bound,cycle_boundary"]
+            columns = (trace.n_c, trace.n_v1, trace.n_v2, trace.n_v3,
+                       trace.P1, trace.P2, trace.P_bound)
+            for i, t in enumerate(trace.times):
+                row = [format_float(za.au_to_fs(float(t)))]
+                row += [format_float(float(arr[i])) for arr in columns]
+                row.append("1" if trace.cycle_flags[i] else "0")
+                lines.append(",".join(row))
+            return "\n".join(lines) + "\n"
+
+        def spectrum_reference(trace):
+            lines = ["t_fs,region,eps_eV,A,A_per_eV"]
+            for spectrum in trace.spectra:
+                t_fs = format_float(za.au_to_fs(float(spectrum.time)))
+                for region in ("S", "P"):
+                    energies, a, d_eps = spectrum.region(region)
+                    for eps, weight in zip(energies, a):
+                        lines.append(",".join((
+                            t_fs, region,
+                            format_float(za.au_to_ev(float(eps))),
+                            format_float(float(weight)),
+                            format_float(float(weight) / za.au_to_ev(d_eps)),
+                        )))
+            return "\n".join(lines) + "\n"
+
+        trace = za.execute(za.preset_config("li", overrides=[
+            "model.N=101", "propagation.T_total=30 fs",
+            "propagation.sample_stride=0.5 fs",
+            "propagation.spectrum_snapshot_times=5 fs, 12.5 fs, 20 fs",
+        ])).trace
+        assert len(trace.spectra) == 4
+        assert 0 < trace.cycle_flags.sum() < len(trace.times)
+        assert cli._trace_csv(trace) == trace_reference(trace)
+        assert cli._spectrum_csv(trace) == spectrum_reference(trace)
 
 
 class TestSweepCommand:
@@ -234,6 +287,34 @@ class TestSweepCommand:
         assert sizes == [2]
 
 
+    def test_unknown_axis_exits_2_before_output(self, tmp_path):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--preset", "li", *FAST_DRIVEN, "--axis", "foo",
+                  "--values", "1", "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("axis, value, value_au", [
+        ("Omega2", 0.09, 0.09 / za.HARTREE_EV**2),           # eV^2
+        ("intensity", 5.1, za.to_atomic(5.1, "TWcm2", "intensity")),
+        ("t_m", 0.16, za.fs_to_au(0.16)),                    # fs
+        ("dt_delay", 0.5, za.fs_to_au(0.5)),                 # fs
+        ("omega", 2.4, za.ev_to_au(2.4)),                    # eV
+    ])
+    def test_axis_value_in_documented_unit(self, axis, value, value_au,
+                                           tmp_path):
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--preset", "li", *FAST_DRIVEN, "--axis", axis,
+                     "--values", repr(value), "--out", str(out)]) == 0
+        cfg = za.preset_config("li", overrides=[
+            "model.N=101", "propagation.T_total=6 fs",
+            "propagation.sample_stride=0.5 fs"])
+        expected = canonical_text(za.apply_axis_value(cfg, axis, value_au))
+        point = out / "points" / "000" / "config.expanded"
+        assert point.read_text() == expected
+
+
 class TestOtherCommands:
     def test_presets_lists_all(self, capsys):
         assert main(["presets"]) == 0
@@ -298,6 +379,10 @@ class TestValidateAgreesWithRun:
         "drive.omega=nan eV",
         "propagation.spectrum_snapshot_times=200 fs",
         "propagation.spectrum_snapshot_times=-3 fs",
+        # each would echo "= inf" into a config.expanded that cannot rerun
+        "model.tau1=inf fs",
+        "propagation.dt_max=inf fs",
+        "propagation.sample_stride=inf fs",
     ])
     def test_refused_by_both(self, override, tmp_path):
         args = ["--preset", "li", "--override", override]

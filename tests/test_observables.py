@@ -101,6 +101,17 @@ class TestLineshape:
         assert np.sum(spec.A_s) + np.sum(spec.A_p) == pytest.approx(
             1.0 - trace.P_bound[idx], abs=1e-9)
 
+    def test_nearest_snapshot_returned(self):
+        cfg = za.preset_config("li", overrides=[
+            "model.N=201", "propagation.T_total=20 fs",
+            "propagation.spectrum_snapshot_times=19.99999 fs",
+        ])
+        trace = za.execute(cfg).trace
+        early, final = (psi.time_stamp for psi in trace.states)
+        assert early < final == trace.T
+        assert za.lineshape(trace, trace.T).time == final
+        assert za.lineshape(trace, early).time == early
+
     def test_missing_snapshot_is_informative(self, li_baseline):
         with pytest.raises(ValueError, match="snapshot"):
             za.lineshape(li_baseline.trace, za.fs_to_au(33.33))

@@ -239,6 +239,28 @@ class TestDriveStepBound:
             sched = make_schedule(1000.0, mode=mode, **kwargs)
             assert prop.drive_step_bound(sched) == math.inf
 
+    def test_negative_carrier_keeps_carrier_bound(self):
+        assert (prop.drive_step_bound(make_schedule(1000.0, omega_ev=-10.0))
+                == prop.drive_step_bound(make_schedule(1000.0, omega_ev=10.0)))
+
+    @pytest.mark.parametrize("overrides", [
+        [],
+        ["drive.phase_reset=true"],
+        ["drive.envelope=cosine_ramp", "drive.ramp=0.5 fs"],
+    ])
+    def test_negative_carrier_mirrors_positive_run(self, overrides):
+        # g(t) only changes sign with omega; flipping the sign of |2> and
+        # the P block maps one run onto the other exactly
+        def trace(omega):
+            cfg = za.preset_config("li", overrides=[
+                "model.N=201", "propagation.T_total=20 fs",
+                f"drive.omega={omega} eV", *overrides])
+            return za.execute(cfg).trace
+
+        plus, minus = trace(2.5), trace(-2.5)
+        for name in ("times", "P1", "P2", "n_c"):
+            assert np.array_equal(getattr(minus, name), getattr(plus, name))
+
     def test_ramped_rwa_keeps_pulse_and_carrier_bound(self):
         sched = make_schedule(1000.0, mode="rwa_pulsed", envelope="cosine_ramp",
                               ramp=2.0)

@@ -8,25 +8,36 @@ import zenoauger.units as u
 
 
 def test_hartree_in_ev_round_value():
-    q = u.Quantity(27.211386, "energy", "eV")
-    assert u.convert(q, "Ha").value == pytest.approx(1.0, rel=1e-12)
+    assert u.to_atomic(27.211386, "eV", "energy") == pytest.approx(1.0,
+                                                                   rel=1e-12)
+    assert u.ev_to_au(27.211386) == pytest.approx(1.0, rel=1e-12)
+    assert u.au_to_ev(1.0) == 27.211386
+    assert u.to_atomic(2.5, "Ha", "energy") == 2.5
 
 
 def test_zero_is_zero_in_any_unit():
-    assert u.convert(u.Quantity(0.0, "energy", "eV"), "Ha").value == 0.0
+    for unit, dimension in (("eV", "energy"), ("Ha", "energy"),
+                            ("fs", "time"), ("TWcm2", "intensity"),
+                            ("au", "dipole")):
+        assert u.to_atomic(0.0, unit, dimension) == 0.0
+    assert u.ev_to_au(0.0) == u.au_to_ev(0.0) == 0.0
+    assert u.fs_to_au(0.0) == u.au_to_fs(0.0) == 0.0
 
 
 def test_au_time_in_fs():
-    q = u.Quantity(0.02418884, "time", "fs")
-    assert u.convert(q, "au").value == pytest.approx(1.0, rel=1e-12)
+    assert u.to_atomic(0.02418884, "fs", "time") == pytest.approx(1.0,
+                                                                  rel=1e-12)
+    assert u.fs_to_au(0.02418884) == pytest.approx(1.0, rel=1e-12)
+    assert u.au_to_fs(1.0) == 0.02418884
 
 
 def test_dimension_mismatch_rejected():
-    q = u.Quantity(1.0, "time", "fs")
     with pytest.raises(u.UnitError):
-        u.convert(q, "eV")
+        u.to_atomic(1.0, "fs", "energy")
     with pytest.raises(u.UnitError):
-        u.Quantity(1.0, "energy", "fs")
+        u.to_atomic(1.0, "eV", "time")
+    with pytest.raises(u.UnitError):
+        u.to_atomic(1.0, "TWcm2", "energy")
 
 
 def test_unknown_unit_rejected():
@@ -37,16 +48,17 @@ def test_unknown_unit_rejected():
 @given(value=st.floats(min_value=1e-6, max_value=1e6),
        unit=st.sampled_from(["eV", "Ha", "au"]))
 def test_energy_conversion_round_trips(value, unit):
-    q = u.Quantity(value, "energy", unit)
-    back = u.convert(u.convert(q, "Ha"), unit)
-    assert back.value == pytest.approx(value, rel=1e-12)
+    atomic = u.to_atomic(value, unit, "energy")
+    back = u.au_to_ev(atomic) if unit == "eV" else atomic
+    assert back == pytest.approx(value, rel=1e-12)
+    assert u.au_to_ev(u.ev_to_au(value)) == pytest.approx(value, rel=1e-12)
 
 
 @given(value=st.floats(min_value=1e-6, max_value=1e6))
 def test_time_conversion_round_trips(value):
-    q = u.Quantity(value, "time", "fs")
-    back = u.convert(u.convert(q, "au"), "fs")
-    assert back.value == pytest.approx(value, rel=1e-12)
+    back = u.au_to_fs(u.to_atomic(value, "fs", "time"))
+    assert back == pytest.approx(value, rel=1e-12)
+    assert u.au_to_fs(u.fs_to_au(value)) == pytest.approx(value, rel=1e-12)
 
 
 def test_lithium_intensity_rabi_pair():
@@ -83,14 +95,3 @@ def test_rabi_scales_as_sqrt_intensity():
         assert u.rabi_from_intensity(intensity, d) == pytest.approx(
             expected, rel=1e-14)
 
-
-def test_rabi_intensity_round_trip():
-    rng = np.random.default_rng(1)
-    for rabi in rng.uniform(1e-4, 1.0, size=10):
-        back = u.rabi_from_intensity(u.intensity_from_rabi(rabi, 0.9145),
-                                     0.9145)
-        assert back == pytest.approx(rabi, rel=1e-13)
-
-
-def test_hbar_product_of_scales():
-    assert u.HBAR_EVFS == pytest.approx(0.65821, rel=2e-5)
