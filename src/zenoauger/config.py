@@ -43,71 +43,49 @@ def format_float(x: float) -> str:
     return FLOAT_FORMAT % x
 
 
+def _key(key: str, kind: str, default=None):
+    """A RunConfig field read from config ``key``; ``kind`` names its parser."""
+    return field(default=default, metadata={"key": key, "kind": kind})
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Fully parsed configuration; every physical value in atomic units."""
 
-    # model
-    E1: float = math.nan
-    E2: float = math.nan
-    eps_c: float = 0.0
-    tau1: float = math.nan
-    tau2: float = math.inf
-    W: float | None = None
-    N: int = 801
-    n_exponent: int = 1
-    # drive
-    mode: str = "off"
-    Omega: float | None = None
-    intensity: float | None = None
-    dipole: float = units.DEFAULT_DIPOLE_AU
-    omega: float | None = None
-    delta: float | None = None
-    t_m: float = 0.0
-    dt_delay: float = 0.0
-    envelope: str = "square"
-    ramp: float = 0.0
-    phase_reset: bool = False
-    # propagation
-    T_total: float = math.nan
-    dt_max: float | None = None
-    krylov_dim: int = 16
-    residual_tol: float = 1e-10
-    sample_stride: float | None = None
-    snapshot_times: tuple[float, ...] = field(default_factory=tuple)
-    # provenance
-    preset: str | None = None
+    E1: float = _key("model.E1", "energy", math.nan)
+    E2: float = _key("model.E2", "energy", math.nan)
+    eps_c: float = _key("model.eps_c", "energy", 0.0)
+    tau1: float = _key("model.tau1", "time", math.nan)
+    tau2: float = _key("model.tau2", "time_or_inf", math.inf)
+    W: float | None = _key("model.W", "energy")
+    N: int = _key("model.N", "int", 801)
+    n_exponent: int = _key("model.n_exponent", "int", 1)
+    mode: str = _key("drive.mode", "str", "off")
+    Omega: float | None = _key("drive.Omega", "energy")
+    intensity: float | None = _key("drive.intensity", "intensity")
+    dipole: float = _key("drive.dipole", "dipole", units.DEFAULT_DIPOLE_AU)
+    omega: float | None = _key("drive.omega", "energy")
+    delta: float | None = _key("drive.delta", "energy")
+    t_m: float = _key("drive.t_m", "time", 0.0)
+    dt_delay: float = _key("drive.dt_delay", "time", 0.0)
+    envelope: str = _key("drive.envelope", "str", "square")
+    ramp: float = _key("drive.ramp", "time", 0.0)
+    phase_reset: bool = _key("drive.phase_reset", "bool", False)
+    T_total: float = _key("propagation.T_total", "time", math.nan)
+    dt_max: float | None = _key("propagation.dt_max", "time")
+    krylov_dim: int = _key("propagation.krylov_dim", "int",
+                           PropagationConfig.krylov_dim)
+    residual_tol: float = _key("propagation.residual_tol", "float",
+                               PropagationConfig.residual_tol)
+    sample_stride: float | None = _key("propagation.sample_stride", "time")
+    snapshot_times: tuple[float, ...] = _key(
+        "propagation.spectrum_snapshot_times", "time_list", ())
+    preset: str | None = _key("preset", "str")
 
 
-# key -> (attribute, kind); kinds name the parser for the value text
-_KEYS = {
-    "model.E1": ("E1", "energy"),
-    "model.E2": ("E2", "energy"),
-    "model.eps_c": ("eps_c", "energy"),
-    "model.tau1": ("tau1", "time"),
-    "model.tau2": ("tau2", "time_or_inf"),
-    "model.W": ("W", "energy"),
-    "model.N": ("N", "int"),
-    "model.n_exponent": ("n_exponent", "int"),
-    "drive.mode": ("mode", "str"),
-    "drive.Omega": ("Omega", "energy"),
-    "drive.intensity": ("intensity", "intensity"),
-    "drive.dipole": ("dipole", "dipole"),
-    "drive.omega": ("omega", "energy"),
-    "drive.delta": ("delta", "energy"),
-    "drive.t_m": ("t_m", "time"),
-    "drive.dt_delay": ("dt_delay", "time"),
-    "drive.envelope": ("envelope", "str"),
-    "drive.ramp": ("ramp", "time"),
-    "drive.phase_reset": ("phase_reset", "bool"),
-    "propagation.T_total": ("T_total", "time"),
-    "propagation.dt_max": ("dt_max", "time"),
-    "propagation.krylov_dim": ("krylov_dim", "int"),
-    "propagation.residual_tol": ("residual_tol", "float"),
-    "propagation.sample_stride": ("sample_stride", "time"),
-    "propagation.spectrum_snapshot_times": ("snapshot_times", "time_list"),
-    "preset": ("preset", "str"),
-}
+# key -> (attribute, kind)
+_KEYS = {f.metadata["key"]: (f.name, f.metadata["kind"])
+         for f in dataclasses.fields(RunConfig)}
 
 _REQUIRED = ("model.E1", "model.E2", "model.tau1", "propagation.T_total")
 
@@ -167,6 +145,7 @@ def _parse_value(text: str, kind: str, key: str):
 def parse_config_text(text: str) -> dict[str, str]:
     """Raw ``key -> value-text`` pairs from a flat config document."""
     raw: dict[str, str] = {}
+    lines: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -177,7 +156,9 @@ def parse_config_text(text: str) -> dict[str, str]:
         key = key.strip()
         if key not in _KEYS:
             raise ConfigError("unknown configuration key", key)
-        raw[key] = value.strip()
+        if key in raw:
+            raise ConfigError(f"given on lines {lines[key]} and {lineno}", key)
+        raw[key], lines[key] = value.strip(), lineno
     return raw
 
 
@@ -235,8 +216,8 @@ def expand(cfg: RunConfig) -> RunConfig:
     if cfg.omega is not None:
         omega = cfg.omega
         delta = omega - split
-        if cfg.delta is not None and not math.isclose(cfg.delta, delta,
-                                                      rel_tol=0, abs_tol=1e-12):
+        # false for a NaN omega (a sweep value), which build_schedule refuses
+        if cfg.delta is not None and abs(cfg.delta - delta) > 1e-12:
             raise ConfigError(
                 "drive.delta conflicts with drive.omega; give one of the two",
                 "drive.delta")
@@ -268,7 +249,7 @@ def canonical_text(cfg: RunConfig) -> str:
     for key in sorted(k for k in _KEYS if k != "preset"):
         attr, kind = _KEYS[key]
         value = getattr(cfg, attr)
-        if value is None or (key == "drive.intensity"):
+        if value is None:
             continue
         if kind in _DIMENSIONED:
             if isinstance(value, float) and math.isinf(value):
@@ -315,30 +296,28 @@ SWEEP_AXES = {
 
 
 def apply_axis_value(cfg: RunConfig, axis: str, value: float) -> RunConfig:
-    """New configuration with one sweep axis set (value in atomic units).
+    """Expanded configuration with one sweep axis set (value in a.u.).
 
-    ``Omega2`` is the squared Rabi energy (proportional to intensity);
-    the others set the named drive parameter directly.
+    ``Omega2`` is the squared Rabi energy (proportional to intensity); the
+    others set the named drive parameter.  The axis replaces the other way
+    of giving that input, so the point expands as ``run`` would expand it.
     """
-    cfg = expand(cfg)
     if axis == "Omega2":
         if value < 0:
             raise ConfigError("squared Rabi energy cannot be negative")
-        if value == 0.0:
-            return dataclasses.replace(cfg, Omega=0.0, mode="off")
-        return dataclasses.replace(cfg, Omega=math.sqrt(value))
-    if axis == "intensity":
-        rabi = units.rabi_from_intensity(value, cfg.dipole)
-        if rabi == 0.0:
-            return dataclasses.replace(cfg, Omega=0.0, mode="off")
-        return dataclasses.replace(cfg, Omega=rabi)
-    if axis == "t_m":
-        return dataclasses.replace(cfg, t_m=value)
-    if axis == "dt_delay":
-        return dataclasses.replace(cfg, dt_delay=value)
-    if axis == "omega":
-        return dataclasses.replace(cfg, omega=value, delta=None)
-    raise ConfigError(f"unknown sweep axis {axis!r}")
+        cfg = dataclasses.replace(cfg, Omega=math.sqrt(value), intensity=None)
+    elif axis == "intensity":
+        cfg = dataclasses.replace(cfg, Omega=None, intensity=value)
+    elif axis in ("t_m", "dt_delay"):
+        cfg = dataclasses.replace(cfg, **{axis: value})
+    elif axis == "omega":
+        cfg = dataclasses.replace(cfg, omega=value, delta=None)
+    else:
+        raise ConfigError(f"unknown sweep axis {axis!r}")
+    cfg = expand(cfg)
+    if axis in ("Omega2", "intensity") and cfg.Omega == 0.0:
+        return dataclasses.replace(cfg, Omega=0.0, mode="off")  # never -0.0
+    return cfg
 
 
 @dataclass(eq=False)

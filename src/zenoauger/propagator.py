@@ -175,8 +175,9 @@ def _step_array(vec: np.ndarray, t: float, dt: float, ham: Hamiltonian,
 
 
 def step(psi: StateVector, t: float, dt: float, ham: Hamiltonian,
-         schedule: PulseSchedule, krylov_dim: int = 16,
-         residual_tol: float = 1e-10) -> StateVector:
+         schedule: PulseSchedule,
+         krylov_dim: int = PropagationConfig.krylov_dim,
+         residual_tol: float = PropagationConfig.residual_tol) -> StateVector:
     """Advance the state by dt using the midpoint coupling.
 
     The interval [t, t + dt) must not straddle a pulse-window edge;
@@ -191,8 +192,9 @@ def step(psi: StateVector, t: float, dt: float, ham: Hamiltonian,
 
 def evolve_interval(vec: np.ndarray, t0: float, t1: float, ham: Hamiltonian,
                     schedule: PulseSchedule, dt_max: float,
-                    krylov_dim: int = 16,
-                    residual_tol: float = 1e-10) -> np.ndarray:
+                    krylov_dim: int = PropagationConfig.krylov_dim,
+                    residual_tol: float = PropagationConfig.residual_tol
+                    ) -> np.ndarray:
     """March [t0, t1) in uniform substeps no longer than dt_max."""
     span = t1 - t0
     if span <= 0:

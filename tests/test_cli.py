@@ -10,8 +10,9 @@ import zenoauger as za
 import zenoauger.cli as cli
 import zenoauger.propagator as prop
 from zenoauger.cli import main
-from zenoauger.config import (build_config, canonical_text, expand,
-                              format_float, parse_config_text)
+from zenoauger.config import (_KEYS, build_config, canonical_text, expand,
+                              format_float, load_config, parse_config_text,
+                              plan)
 from zenoauger.drive import MODES
 
 FAST_DRIVEN = [
@@ -35,6 +36,9 @@ drive.mode = off
 propagation.T_total = 6.0 fs
 propagation.sample_stride = 0.5 fs
 """
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def read_all(out_dir: Path) -> dict[str, bytes]:
@@ -82,6 +86,25 @@ class TestConfigParsing:
     def test_unknown_key_rejected(self):
         with pytest.raises(za.ConfigError, match="model.mass"):
             parse_config_text("model.mass = 1.0 au")
+
+    def test_key_given_twice_refused_naming_both_lines(self, tmp_path):
+        text = GOOD_CONFIG + "model.E1 = 60.0 eV\n"
+        first = GOOD_CONFIG.splitlines().index("model.E1 = 52.0 eV") + 1
+        second = len(text.splitlines())
+        with pytest.raises(za.ConfigError,
+                           match=f"model.E1: .*lines {first} and {second}"):
+            parse_config_text(text)
+        path = tmp_path / "twice.conf"
+        path.write_text(text)
+        assert main(["validate", "--config", str(path)]) == 2
+        # an override still replaces the value the file gives
+        path.write_text(GOOD_CONFIG)
+        cfg = load_config(str(path), overrides=["model.E1=60.0 eV"])
+        assert cfg.E1 == za.ev_to_au(60.0)
+
+    def test_readme_lists_every_key(self):
+        text = README.read_text(encoding="utf-8")
+        assert [key for key in _KEYS if key not in text] == []
 
     def test_intensity_and_dipole_derive_rabi(self):
         cfg = expand(za.preset_config("li"))
@@ -240,6 +263,13 @@ class TestSweepCommand:
         assert "error" in lines[1]
         assert lines[2].endswith("ok")
 
+    def test_nan_omega_point_refused_as_non_finite(self, tmp_path):
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--preset", "li", *FAST_DRIVEN, "--out",
+                     str(out), "--axis", "omega", "--values", "nan"]) == 1
+        row = (out / "sweep.csv").read_text().splitlines()[1]
+        assert row.endswith("error: omega must be finite; got nan")
+
     def test_zero_intensity_point_runs_field_free(self, tmp_path):
         out = tmp_path / "sweep"
         code = main(["sweep", "--preset", "li", *FAST_DRIVEN, "--out",
@@ -247,6 +277,45 @@ class TestSweepCommand:
         assert code == 0
         lines = (out / "sweep.csv").read_text().splitlines()
         assert lines[1].endswith("ok") and lines[2].endswith("ok")
+
+    @pytest.mark.parametrize("axis", ["Omega2", "intensity"])
+    def test_negative_zero_strength_point_is_off(self, axis, tmp_path):
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--preset", "li", *FAST_DRIVEN, "--axis", axis,
+                     "--values=-0", "--out", str(out)]) == 0
+        lines = (out / "points" / "000" / "config.expanded").read_text()
+        assert "drive.Omega = 0.0000000000000000e+00 au\n" in lines
+        assert "drive.mode = off\n" in lines
+
+    @pytest.mark.parametrize("axis, value", [
+        ("Omega2", 0.09 / za.HARTREE_EV**2),
+        ("intensity", za.to_atomic(5.1, "TWcm2", "intensity")),
+    ])
+    def test_strength_axis_needs_no_strength_in_base(self, axis, value):
+        base = build_config(parse_config_text(
+            GOOD_CONFIG.replace("drive.mode = off", "drive.mode = pulsed")))
+        point = plan(za.apply_axis_value(base, axis, value)).config
+        assert point.mode == "pulsed" and point.Omega > 0
+
+    def test_point_without_window_expands_like_run(self, tmp_path):
+        # the window derives from the Rabi energy: 2 eV for the base's
+        # 0.1 eV, 10 eV for the point's 2 eV
+        path = tmp_path / "base.conf"
+        path.write_text(GOOD_CONFIG.replace("model.W = 2.0 eV\n", "")
+                        .replace("drive.mode = off",
+                                 "drive.mode = pulsed\ndrive.Omega = 0.1 eV"))
+        out_sweep, out_run = tmp_path / "sweep", tmp_path / "run"
+        main(["sweep", "--config", str(path), "--axis", "Omega2",
+              "--values", "4", "--out", str(out_sweep)])
+        rabi = math.sqrt(4 / za.HARTREE_EV**2)
+        main(["run", "--config", str(path), "--override",
+              f"drive.Omega={format_float(rabi)} au", "--out", str(out_run)])
+        point = out_sweep / "points" / "000"
+        expanded = dict(line.split(" = ") for line in
+                        (point / "config.expanded").read_text().splitlines())
+        assert expanded["model.W"] == f"{format_float(5 * rabi)} au"
+        for name in ("config.expanded", "trace.csv"):
+            assert (point / name).read_bytes() == (out_run / name).read_bytes()
 
     def test_parallel_workers_match_sequential(self, tmp_path):
         args = ["sweep", "--preset", "li", *FAST_DRIVEN, "--axis", "t_m",
