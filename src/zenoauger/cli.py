@@ -186,9 +186,13 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _config_from_args(args)
-    values = [float(v) for v in args.values.split(",") if v.strip()]
-    if not values:
-        raise ConfigError("--values needs comma-separated numbers")
+    try:
+        values = [float(v) for v in args.values.split(",") if v.strip()]
+    except ValueError:
+        values = []
+    if not values or not all(map(math.isfinite, values)):
+        raise ConfigError(f"needs comma-separated finite numbers, got "
+                          f"{args.values!r}", "--values")
     if args.workers < 1:
         raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     out = Path(args.out)
@@ -226,13 +230,13 @@ def cmd_sweep(args) -> int:
 def cmd_validate(args) -> int:
     reports = plan(_config_from_args(args)).reports
     for region, report in zip("SP", reports):
-        status = "ok" if report.ok else "FAIL"
+        status = "ok" if report.recurrence_ok else "FAIL"
         print(f"region {region}: {status}  "
               f"T_rec = {au_to_fs(report.recurrence_time):.2f} fs, "
               f"points/linewidth = {report.points_per_linewidth:.2f}")
         for diag in report.diagnostics:
             print(f"  {diag}")
-    return EXIT_OK if all(r.ok for r in reports) else EXIT_CONFIG
+    return EXIT_OK if all(r.recurrence_ok for r in reports) else EXIT_CONFIG
 
 
 def cmd_presets(_args) -> int:

@@ -380,7 +380,7 @@ def plan(cfg: RunConfig) -> RunPlan:
 def execute(cfg: RunConfig) -> RunResult:
     """Plan a run from a configuration, propagate and post-process."""
     p = plan(cfg)
-    refusals = [d for r in p.reports if not r.ok for d in r.diagnostics]
+    refusals = [d for r in p.reports if not r.recurrence_ok for d in r.diagnostics]
     if refusals:
         raise ConfigError("; ".join(refusals))
 

@@ -6,10 +6,9 @@ waits a time t_m, a second pulse swaps them back, and after a delay
 dt_delay the cycle repeats.  A continuous mode (envelope identically one)
 and rotating-wave variants of both are also provided.
 
-The full-field coupling is g(t) = Omega f(t) sin(omega t) with f the
-square envelope; the rotating-wave modes use the constant g = Omega/2
-inside each window with the frame shift applied to the Hamiltonian
-diagonal (see model.rotating_frame).
+The full-field coupling is g(t) = Omega f(t) sin(omega t), f the square
+or cosine-ramped envelope; the rotating-wave modes use g = Omega f(t)/2
+with the frame shift on the Hamiltonian diagonal (model.rotating_frame).
 """
 from __future__ import annotations
 
@@ -30,20 +29,17 @@ class PulseSchedule:
     envelope is nonzero, non-overlapping and sorted.  ``cycle_boundaries``
     marks the time after each completed pulse-wait-pulse-delay cycle;
     populations sampled there are free of the intra-cycle Rabi swing.
+    ``ramp`` is the cosine rise and fall time of each window; 0 means a
+    square envelope, constant inside every window.
     """
 
     mode: str
     Omega: float
     omega: float
-    delta: float
-    t_m: float
-    dt_delay: float
-    T_total: float
     windows: np.ndarray
     cycle_boundaries: np.ndarray
-    envelope: str = "square"
-    ramp: float = 0.0
-    phase_reset: bool = False
+    ramp: float
+    phase_reset: bool
 
     @property
     def t_pi(self) -> float:
@@ -56,7 +52,7 @@ class PulseSchedule:
 
     @property
     def drive_active(self) -> bool:
-        return self.mode != "off" and len(self.windows) > 0
+        return len(self.windows) > 0
 
 
 def build_schedule(
@@ -76,7 +72,9 @@ def build_schedule(
     Pulsed modes emit [pulse][t_m][pulse][dt_delay] cycles until T_total,
     clipping a trailing partial cycle; continuous modes emit the single
     window [0, T_total).  With the cosine_ramp envelope each window is
-    lengthened by the ramp time so the pulse area stays pi.
+    lengthened by the ramp time so the pulse area stays pi.  ``delta`` is
+    accepted but not stored: the detuning already lives in ``omega`` and,
+    for the rotating-wave modes, on the Hamiltonian diagonal.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -92,67 +90,63 @@ def build_schedule(
     if t_m < 0 or dt_delay < 0 or ramp < 0:
         raise ValueError("t_m, dt_delay and ramp must be non-negative")
 
-    if mode == "off":
-        windows = np.zeros((0, 2))
-        boundaries = np.zeros(0)
-        return PulseSchedule(mode, 0.0, omega, delta, t_m, dt_delay, T_total,
-                             windows, boundaries, envelope, ramp, phase_reset)
+    if envelope == "square":
+        ramp = 0.0  # a square window ignores any ramp time given
 
-    if not Omega > 0:
-        raise ValueError(f"driven modes need Omega > 0, got {Omega}")
-
-    if mode in ("continuous", "rwa_continuous"):
-        windows = np.array([[0.0, T_total]])
-        boundaries = np.zeros(0)
-        return PulseSchedule(mode, Omega, omega, delta, t_m, dt_delay, T_total,
-                             windows, boundaries, envelope, ramp, phase_reset)
-
-    t_pi = math.pi / Omega
-    width = t_pi + (ramp if envelope == "cosine_ramp" else 0.0)
     windows = []
     boundaries = []
-    start = 0.0
-    while start < T_total:
-        for w_start in (start, start + width + t_m):
-            if w_start >= T_total:
-                break
-            windows.append((w_start, min(w_start + width, T_total)))
-        cycle_end = start + 2.0 * width + t_m + dt_delay
-        if cycle_end <= T_total * (1.0 + 1e-12):
-            boundaries.append(min(cycle_end, T_total))
-        if cycle_end <= start:  # degenerate all-zero cycle cannot advance
-            raise ValueError("cycle period must be positive")
-        start = cycle_end
-    return PulseSchedule(mode, Omega, omega, delta, t_m, dt_delay, T_total,
-                         np.asarray(windows), np.asarray(boundaries),
-                         envelope, ramp, phase_reset)
+    if mode == "off":
+        Omega = 0.0
+    elif not Omega > 0:
+        raise ValueError(f"driven modes need Omega > 0, got {Omega}")
+    elif mode.endswith("continuous"):
+        windows.append((0.0, T_total))
+    else:
+        width = math.pi / Omega + ramp
+        start = 0.0
+        while start < T_total:
+            for w_start in (start, start + width + t_m):
+                if w_start >= T_total:
+                    break
+                windows.append((w_start, min(w_start + width, T_total)))
+            cycle_end = start + 2.0 * width + t_m + dt_delay
+            if cycle_end <= T_total * (1.0 + 1e-12):
+                boundaries.append(min(cycle_end, T_total))
+            if cycle_end <= start:  # degenerate all-zero cycle cannot advance
+                raise ValueError("cycle period must be positive")
+            start = cycle_end
+    return PulseSchedule(mode, Omega, omega, np.reshape(windows, (-1, 2)),
+                         np.asarray(boundaries, dtype=float), ramp, phase_reset)
 
 
-def _window_index(schedule: PulseSchedule, t: float) -> int:
-    """Index of the window containing t, or -1."""
-    starts = schedule.windows[:, 0]
-    idx = int(np.searchsorted(starts, t, side="right")) - 1
-    if idx >= 0 and t < schedule.windows[idx, 1]:
-        return idx
-    return -1
+def _locate(schedule: PulseSchedule, t: float) -> tuple[int, float]:
+    """(index of the window holding t >= 0, or -1; envelope f(t) there).
+
+    A pulsed window ramps down at its own end, start + (t_pi + ramp), even
+    when the run stops inside it, so no state depends on T_total.
+    """
+    windows = schedule.windows
+    idx = int(np.searchsorted(windows[:, 0], t, side="right")) - 1
+    if idx < 0 or not t < windows[idx, 1]:
+        return -1, 0.0
+    if schedule.ramp == 0.0:
+        return idx, 1.0
+    a, b = windows[idx]
+    if schedule.mode.endswith("pulsed"):
+        b = a + (schedule.t_pi + schedule.ramp)
+    r = min(schedule.ramp, 0.5 * (b - a))
+    if t < a + r:
+        return idx, math.sin(0.5 * math.pi * (t - a) / r) ** 2
+    if t > b - r:
+        return idx, math.sin(0.5 * math.pi * (b - t) / r) ** 2
+    return idx, 1.0
 
 
 def envelope_at(schedule: PulseSchedule, t: float) -> float:
     """Envelope value f(t): 1 inside a window, 0 outside, 0 for t < 0."""
     if t < 0 or not schedule.drive_active:
         return 0.0
-    idx = _window_index(schedule, t)
-    if idx < 0:
-        return 0.0
-    if schedule.envelope == "square" or schedule.ramp == 0.0:
-        return 1.0
-    a, b = schedule.windows[idx]
-    r = min(schedule.ramp, 0.5 * (b - a))
-    if t < a + r:
-        return math.sin(0.5 * math.pi * (t - a) / r) ** 2
-    if t > b - r:
-        return math.sin(0.5 * math.pi * (b - t) / r) ** 2
-    return 1.0
+    return _locate(schedule, t)[1]
 
 
 def coupling_at(schedule: PulseSchedule, t: float) -> complex:
@@ -165,13 +159,10 @@ def coupling_at(schedule: PulseSchedule, t: float) -> complex:
     """
     if t < 0 or not schedule.drive_active:
         return 0.0 + 0.0j
-    f = envelope_at(schedule, t)
+    idx, f = _locate(schedule, t)
     if f == 0.0:
         return 0.0 + 0.0j
     if schedule.is_rwa:
         return complex(0.5 * schedule.Omega * f)
-    phase_t = t
-    if schedule.phase_reset:
-        idx = _window_index(schedule, t)
-        phase_t = t - schedule.windows[idx, 0]
+    phase_t = t - schedule.windows[idx, 0] if schedule.phase_reset else t
     return complex(schedule.Omega * f * math.sin(schedule.omega * phase_t))

@@ -77,10 +77,6 @@ class ContinuumGrid:
     eps_center: float
 
     @property
-    def n_points(self) -> int:
-        return len(self.energies)
-
-    @property
     def d_eps(self) -> float:
         return float(self.energies[1] - self.energies[0])
 
@@ -253,10 +249,6 @@ class StateVector:
     def b_p(self) -> np.ndarray:
         return self.data[2 + self.n_s:]
 
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.data))
-
 
 def assemble(levels: LevelScheme, grid_s: ContinuumGrid,
              grid_p: ContinuumGrid) -> Hamiltonian:
@@ -311,10 +303,6 @@ class ResolutionReport:
     recurrence_time: float
     points_per_linewidth: float
     diagnostics: tuple[str, ...] = field(default=())
-
-    @property
-    def ok(self) -> bool:
-        return self.recurrence_ok
 
 
 def validate_resolution(grid: ContinuumGrid, t_sim: float, tau: float,

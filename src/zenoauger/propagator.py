@@ -84,13 +84,12 @@ def drive_step_bound(schedule: PulseSchedule) -> float:
     """Largest step allowed while the drive is on.
 
     Unbounded where H is constant inside every window: without a drive,
-    and in the rotating frame with a square envelope (or no ramp), where
-    the midpoint exponential is exact for any step length.
+    and in the rotating frame with a square envelope (ramp 0), where the
+    midpoint exponential is exact for any step length.
     """
     if not schedule.drive_active:
         return math.inf
-    if schedule.is_rwa and (schedule.envelope == "square"
-                            or schedule.ramp == 0.0):
+    if schedule.is_rwa and schedule.ramp == 0.0:
         return math.inf
     bound = schedule.t_pi / PULSE_STEP_FRACTION
     omega = abs(schedule.omega)  # the carrier period is 2 pi / |omega|

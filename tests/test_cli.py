@@ -10,9 +10,9 @@ import zenoauger as za
 import zenoauger.cli as cli
 import zenoauger.propagator as prop
 from zenoauger.cli import main
-from zenoauger.config import (_KEYS, build_config, canonical_text, expand,
-                              format_float, load_config, parse_config_text,
-                              plan)
+from zenoauger.config import (_KEYS, SWEEP_AXES, build_config, canonical_text,
+                              expand, format_float, load_config,
+                              parse_config_text, plan)
 from zenoauger.drive import MODES
 
 FAST_DRIVEN = [
@@ -263,12 +263,15 @@ class TestSweepCommand:
         assert "error" in lines[1]
         assert lines[2].endswith("ok")
 
-    def test_nan_omega_point_refused_as_non_finite(self, tmp_path):
+    @pytest.mark.parametrize("axis", sorted(SWEEP_AXES))
+    def test_values_refused_unless_finite_numbers(self, axis, tmp_path,
+                                                  capsys):
         out = tmp_path / "sweep"
-        assert main(["sweep", "--preset", "li", *FAST_DRIVEN, "--out",
-                     str(out), "--axis", "omega", "--values", "nan"]) == 1
-        row = (out / "sweep.csv").read_text().splitlines()[1]
-        assert row.endswith("error: omega must be finite; got nan")
+        for values in ("nan", "0.2,nan", "inf", "-inf,1", "abc", "1,,x", ","):
+            assert main(["sweep", "--preset", "li", *FAST_DRIVEN, "--out",
+                         str(out), "--axis", axis, f"--values={values}"]) == 2
+            assert "--values" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_zero_intensity_point_runs_field_free(self, tmp_path):
         out = tmp_path / "sweep"

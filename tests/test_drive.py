@@ -5,8 +5,9 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import zenoauger as za
-from zenoauger.drive import build_schedule, coupling_at, envelope_at
-from zenoauger.propagator import PropagationConfig, initial_state, propagate
+from zenoauger.drive import MODES, build_schedule, coupling_at, envelope_at
+from zenoauger.propagator import (PropagationConfig, drive_step_bound,
+                                  initial_state, propagate)
 
 
 def fs(x):
@@ -57,11 +58,59 @@ class TestBuildSchedule:
         with pytest.raises(ValueError):
             build_schedule(0.05, 0.4, 0.0, 0.0, 0.0, "chirped", 100.0)
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_stores_only_what_the_drive_reads(self, mode):
+        sched = build_schedule(0.05, 0.4, 0.01, 2.0, 3.0, mode, 100.0,
+                               envelope="cosine_ramp", ramp=1.0,
+                               phase_reset=True)
+        assert set(vars(sched)) == {"mode", "Omega", "omega", "windows",
+                                    "cycle_boundaries", "ramp", "phase_reset"}
+
+    @pytest.mark.parametrize("mode", ["pulsed", "rwa_pulsed", "continuous"])
+    def test_square_envelope_ignores_ramp(self, mode):
+        plain = build_schedule(0.05, 0.4, 0.0, 2.0, 3.0, mode, 500.0)
+        given = build_schedule(0.05, 0.4, 0.0, 2.0, 3.0, mode, 500.0,
+                               envelope="square", ramp=4.0)
+        assert np.array_equal(given.windows, plain.windows)
+        assert np.array_equal(given.cycle_boundaries, plain.cycle_boundaries)
+        grid = np.concatenate([np.linspace(-1.0, 500.0, 1001),
+                               plain.windows.ravel()])
+        assert ([coupling_at(given, t) for t in grid]
+                == [coupling_at(plain, t) for t in grid])
+        assert drive_step_bound(given) == drive_step_bound(plain)
+
 
 class TestCoupling:
     def test_zero_before_start(self):
         sched = build_schedule(0.05, 0.4, 0.0, 1.0, 0.0, "pulsed", 100.0)
         assert coupling_at(sched, -1.0) == 0.0
+
+    @pytest.mark.parametrize("envelope", ["square", "cosine_ramp"])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_zero_before_start_at_window_end_and_when_off(self, mode,
+                                                          envelope):
+        sched = build_schedule(0.05, 0.4, 0.0, 5.0, 3.0, mode, 300.0,
+                               envelope=envelope, ramp=4.0, phase_reset=True)
+        times = [-1e-9, -1.0, *sched.windows[:, 1]]
+        if mode == "off":
+            assert not sched.drive_active
+            times += [0.0, 150.0]
+        for t in times:
+            assert envelope_at(sched, t) == 0.0
+            assert coupling_at(sched, t) == 0.0
+
+    def test_clipped_ramped_window_ramps_down_at_its_own_end(self):
+        # li: the third window [15.10, 22.49) fs is cut off by a 20 fs run
+        def li(t_total_fs):
+            return build_schedule(za.ev_to_au(0.3), za.ev_to_au(2.5), 0.0,
+                                  fs(0.32), 0.0, "pulsed", fs(t_total_fs),
+                                  envelope="cosine_ramp", ramp=fs(0.5))
+
+        short, long = li(20.0), li(30.0)
+        assert short.windows[2, 1] == fs(20.0) < long.windows[2, 1]
+        assert envelope_at(short, fs(19.9)) == envelope_at(long, fs(19.9))
+        assert envelope_at(short, fs(19.9)) == 1.0
+        assert coupling_at(short, fs(19.9)) == coupling_at(long, fs(19.9))
 
     def test_full_field_peak_value(self):
         omega = 0.4

@@ -69,7 +69,7 @@ class TestBuildGrid:
 class TestAssemble:
     def test_dimension_counts(self):
         _, grid_s, grid_p, ham = small_system(n_points=63)
-        assert ham.dimension == 2 + grid_s.n_points + grid_p.n_points
+        assert ham.dimension == 2 + len(grid_s.energies) + len(grid_p.energies)
 
     def test_hermitian_by_construction(self):
         _, _, _, ham = small_system(n_points=31)
@@ -151,7 +151,7 @@ class TestValidateResolution:
                                         za.fs_to_au(17.6))
         # recurrence-safe, but 7.48 points per linewidth misses the
         # 10-point rule: run allowed, named diagnostic emitted
-        assert report.ok and report.recurrence_ok
+        assert report.recurrence_ok
         assert not report.linewidth_ok
         assert report.points_per_linewidth == pytest.approx(7.4797, rel=1e-4)
         assert any("linewidth" in d for d in report.diagnostics)
@@ -161,7 +161,7 @@ class TestValidateResolution:
                              1, za.fs_to_au(17.6))
         report = za.validate_resolution(grid, za.fs_to_au(700.0),
                                         za.fs_to_au(17.6))
-        assert not report.ok
+        assert not report.recurrence_ok
         assert any("recurrence" in d for d in report.diagnostics)
 
     def test_fine_grid_passes_linewidth_rule(self):
@@ -169,7 +169,7 @@ class TestValidateResolution:
                              1, za.fs_to_au(17.6))
         report = za.validate_resolution(grid, za.fs_to_au(100.0),
                                         za.fs_to_au(17.6))
-        assert report.ok and report.linewidth_ok
+        assert report.recurrence_ok and report.linewidth_ok
 
 
 class TestGoldenRuleConsistency:
