@@ -63,10 +63,6 @@ def _json_text(obj, indent: int = 0) -> str:
     return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _write(path: Path, text: str):
-    path.write_text(text, encoding="utf-8")
-
-
 def _table(rows: numpy.ndarray, row_format: str) -> str:
     """Rows of a 2-D array, each formatted with ``row_format``."""
     return row_format * len(rows) % tuple(rows.ravel().tolist())
@@ -130,10 +126,13 @@ def emit(result, out_dir: str | Path) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     expanded = canonical_text(result.config)
-    _write(out / "trace.csv", _trace_csv(result.trace))
-    _write(out / "spectrum.csv", _spectrum_csv(result.trace))
-    _write(out / "summary.json", _json_text(_summary(result)) + "\n")
-    _write(out / "config.expanded", expanded)
+    (out / "trace.csv").write_text(_trace_csv(result.trace),
+                                   encoding="utf-8")
+    (out / "spectrum.csv").write_text(_spectrum_csv(result.trace),
+                                      encoding="utf-8")
+    (out / "summary.json").write_text(_json_text(_summary(result)) + "\n",
+                                      encoding="utf-8")
+    (out / "config.expanded").write_text(expanded, encoding="utf-8")
     provenance = {
         "package": "zenoauger",
         "version": __version__,
@@ -146,7 +145,8 @@ def emit(result, out_dir: str | Path) -> Path:
                       "expanded configuration reproduces these files byte "
                       "for byte"),
     }
-    _write(out / "provenance.json", _json_text(provenance) + "\n")
+    (out / "provenance.json").write_text(_json_text(provenance) + "\n",
+                                         encoding="utf-8")
     return out
 
 
@@ -160,15 +160,15 @@ def _config_from_args(args) -> RunConfig:
 
 
 def _run_sweep_point(payload):
-    cfg, axis, value_au, value_label, point_dir = payload
+    point, value_label, point_dir = payload
     try:
-        result = execute(apply_axis_value(cfg, axis, value_au))
+        result = execute(point)
         emit(result, point_dir)
         fit = _summary(result)["fit"]
         return {"value": value_label, "tau_eff_fs": fit["tau_eff_fs"],
                 "tau_one_over_e_fs": fit["tau_one_over_e_fs"],
                 "r_squared": fit["r_squared"], "status": "ok"}
-    except Exception as exc:  # per-row failure must not kill the sweep
+    except Exception as exc:  # a solver or I/O error must not kill the sweep
         return {"value": value_label, "tau_eff_fs": math.nan,
                 "tau_one_over_e_fs": math.nan, "r_squared": math.nan,
                 "status": f"error: {exc}"}
@@ -196,12 +196,16 @@ def cmd_sweep(args) -> int:
     if args.workers < 1:
         raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     out = Path(args.out)
+    payloads = []
+    for i, v in enumerate(values):  # plan every point before any output
+        try:
+            point = apply_axis_value(cfg, args.axis, SWEEP_AXES[args.axis](v))
+            plan(point)
+        except ValueError as exc:
+            raise ConfigError(
+                f"sweep point {args.axis} = {v!r}: {exc}") from None
+        payloads.append((point, v, str(out / "points" / f"{i:03d}")))
     out.mkdir(parents=True, exist_ok=True)
-    payloads = [
-        (cfg, args.axis, SWEEP_AXES[args.axis](v), v,
-         str(out / "points" / f"{i:03d}"))
-        for i, v in enumerate(values)
-    ]
     # the pool forks all of its workers at once: never more than points
     workers = min(args.workers, len(payloads))
     if workers > 1:
@@ -219,7 +223,7 @@ def cmd_sweep(args) -> int:
             format_float(row["r_squared"]),
             row["status"].replace(",", ";"),
         )))
-    _write(out / "sweep.csv", "\n".join(lines) + "\n")
+    (out / "sweep.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"sweep complete: {out / 'sweep.csv'}")
     failed = [r for r in rows if r["status"] != "ok"]
     for row in failed:
@@ -228,15 +232,13 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    reports = plan(_config_from_args(args)).reports
-    for region, report in zip("SP", reports):
-        status = "ok" if report.recurrence_ok else "FAIL"
-        print(f"region {region}: {status}  "
+    for region, report in zip("SP", plan(_config_from_args(args)).reports):
+        print(f"region {region}: ok  "
               f"T_rec = {au_to_fs(report.recurrence_time):.2f} fs, "
               f"points/linewidth = {report.points_per_linewidth:.2f}")
         for diag in report.diagnostics:
             print(f"  {diag}")
-    return EXIT_OK if all(r.recurrence_ok for r in reports) else EXIT_CONFIG
+    return EXIT_OK
 
 
 def cmd_presets(_args) -> int:

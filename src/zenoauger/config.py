@@ -350,9 +350,7 @@ class RunResult(RunPlan):
 def plan(cfg: RunConfig) -> RunPlan:
     """Expand a configuration and build what a run needs before propagating.
 
-    Every check a run makes raises ConfigError or ValueError here, except
-    the recurrence bound of the S and P grids: its verdict stays in
-    ``reports`` for :func:`execute` to refuse and ``validate`` to print.
+    Every check a run makes raises ConfigError or ValueError here.
     """
     cfg = expand(cfg)
     levels = LevelScheme(E1=cfg.E1, E2=cfg.E2, eps_c=cfg.eps_c,
@@ -380,10 +378,6 @@ def plan(cfg: RunConfig) -> RunPlan:
 def execute(cfg: RunConfig) -> RunResult:
     """Plan a run from a configuration, propagate and post-process."""
     p = plan(cfg)
-    refusals = [d for r in p.reports if not r.recurrence_ok for d in r.diagnostics]
-    if refusals:
-        raise ConfigError("; ".join(refusals))
-
     ham = assemble(p.levels, p.grid_s, p.grid_p)
     if p.schedule.is_rwa:
         ham = rotating_frame(ham, p.config.omega)

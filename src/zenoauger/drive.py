@@ -29,8 +29,9 @@ class PulseSchedule:
     envelope is nonzero, non-overlapping and sorted.  ``cycle_boundaries``
     marks the time after each completed pulse-wait-pulse-delay cycle;
     populations sampled there are free of the intra-cycle Rabi swing.
-    ``ramp`` is the cosine rise and fall time of each window; 0 means a
-    square envelope, constant inside every window.
+    ``ramp`` is the cosine rise and fall time of each pulsed window (a
+    continuous window only rises); 0 means a square envelope, constant
+    inside every window.
     """
 
     mode: str
@@ -71,10 +72,11 @@ def build_schedule(
 
     Pulsed modes emit [pulse][t_m][pulse][dt_delay] cycles until T_total,
     clipping a trailing partial cycle; continuous modes emit the single
-    window [0, T_total).  With the cosine_ramp envelope each window is
-    lengthened by the ramp time so the pulse area stays pi.  ``delta`` is
-    accepted but not stored: the detuning already lives in ``omega`` and,
-    for the rotating-wave modes, on the Hamiltonian diagonal.
+    window [0, T_total).  With the cosine_ramp envelope each pulsed window
+    is lengthened by the ramp time so the pulse area stays pi; the
+    continuous window ramps up only.  ``delta`` is accepted but not
+    stored: the detuning already lives in ``omega`` and, for the
+    rotating-wave modes, on the Hamiltonian diagonal.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -123,7 +125,8 @@ def _locate(schedule: PulseSchedule, t: float) -> tuple[int, float]:
     """(index of the window holding t >= 0, or -1; envelope f(t) there).
 
     A pulsed window ramps down at its own end, start + (t_pi + ramp), even
-    when the run stops inside it, so no state depends on T_total.
+    when the run stops inside it, and a continuous window ramps up at 0 and
+    never down, so no state depends on T_total.
     """
     windows = schedule.windows
     idx = int(np.searchsorted(windows[:, 0], t, side="right")) - 1
@@ -131,9 +134,9 @@ def _locate(schedule: PulseSchedule, t: float) -> tuple[int, float]:
         return -1, 0.0
     if schedule.ramp == 0.0:
         return idx, 1.0
-    a, b = windows[idx]
-    if schedule.mode.endswith("pulsed"):
-        b = a + (schedule.t_pi + schedule.ramp)
+    a = windows[idx, 0]
+    pulsed = schedule.mode.endswith("pulsed")
+    b = a + (schedule.t_pi + schedule.ramp) if pulsed else math.inf
     r = min(schedule.ramp, 0.5 * (b - a))
     if t < a + r:
         return idx, math.sin(0.5 * math.pi * (t - a) / r) ** 2

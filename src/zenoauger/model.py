@@ -293,23 +293,32 @@ class ResolutionReport:
     """Outcome of the grid-resolution checks for a planned simulation.
 
     The recurrence bound is hard: running into the revival of the
-    discretized continuum invalidates the decay dynamics.  The
+    discretized continuum invalidates the decay dynamics, so
+    :func:`validate_resolution` refuses it rather than reporting it.  The
     linewidth-sampling bound only degrades spectra, so it is reported as
     a named diagnostic without blocking the run.
     """
 
-    recurrence_ok: bool
     linewidth_ok: bool
     recurrence_time: float
     points_per_linewidth: float
     diagnostics: tuple[str, ...] = field(default=())
 
 
-def validate_resolution(grid: ContinuumGrid, t_sim: float, tau: float,
-                        safety: float = RECURRENCE_SAFETY) -> ResolutionReport:
-    """Check a grid against a planned simulation span and lifetime."""
+def validate_resolution(grid: ContinuumGrid, t_sim: float,
+                        tau: float) -> ResolutionReport:
+    """Check a grid against a planned simulation span and lifetime.
+
+    Raises ValueError when the span, times RECURRENCE_SAFETY, reaches the
+    recurrence time of the grid.
+    """
     t_rec = grid.recurrence_time
-    recurrence_ok = t_sim * safety < t_rec
+    if not t_sim * RECURRENCE_SAFETY < t_rec:
+        raise ValueError(
+            f"recurrence bound violated in region {grid.region}: "
+            f"T_sim*safety = {au_to_fs(t_sim * RECURRENCE_SAFETY):.3f} fs "
+            f"exceeds T_rec = {au_to_fs(t_rec):.3f} fs; decrease d_eps"
+        )
     if math.isinf(tau):
         linewidth_ok = True
         points = math.inf
@@ -318,12 +327,6 @@ def validate_resolution(grid: ContinuumGrid, t_sim: float, tau: float,
         points = linewidth / grid.d_eps
         linewidth_ok = points > POINTS_PER_LINEWIDTH
     diagnostics = []
-    if not recurrence_ok:
-        diagnostics.append(
-            f"recurrence bound violated in region {grid.region}: "
-            f"T_sim*safety = {au_to_fs(t_sim * safety):.3f} fs exceeds "
-            f"T_rec = {au_to_fs(t_rec):.3f} fs; decrease d_eps"
-        )
     if not linewidth_ok:
         diagnostics.append(
             f"linewidth sampling in region {grid.region}: "
@@ -332,7 +335,6 @@ def validate_resolution(grid: ContinuumGrid, t_sim: float, tau: float,
             f"(d_eps = {au_to_ev(grid.d_eps):.5f} eV); spectra will be coarse"
         )
     return ResolutionReport(
-        recurrence_ok=recurrence_ok,
         linewidth_ok=linewidth_ok,
         recurrence_time=t_rec,
         points_per_linewidth=points,

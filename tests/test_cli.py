@@ -252,16 +252,45 @@ class TestSweepCommand:
         direct = json.loads((out_run / "summary.json").read_text())
         assert point["fit"] == direct["fit"]
 
-    def test_failed_point_recorded_sweep_continues(self, tmp_path):
+    def test_failed_point_recorded_sweep_continues(self, tmp_path,
+                                                   monkeypatch):
+        # only what running reveals fails a row: here a solver error
+        def execute(point):
+            if point.t_m > za.fs_to_au(0.2):
+                raise prop.ConvergenceError("Krylov residual above tolerance")
+            return za.execute(point)
+
+        monkeypatch.setattr(cli, "execute", execute)
         out = tmp_path / "sweep"
-        # an omega below the level splitting of the li preset detunes the
-        # drive hugely but still runs; a negative one is rejected
         code = main(["sweep", "--preset", "li", *FAST_DRIVEN, "--out",
-                     str(out), "--axis", "Omega2", "--values=-1.0,0.09"])
+                     str(out), "--axis", "t_m", "--values=0.16,0.32",
+                     "--workers", "1"])
         assert code == 1
         lines = (out / "sweep.csv").read_text().splitlines()
-        assert "error" in lines[1]
-        assert lines[2].endswith("ok")
+        assert len(lines) == 3
+        assert lines[1].endswith("ok")
+        assert lines[2].endswith("error: Krylov residual above tolerance")
+
+    @pytest.mark.parametrize("axis, values, overrides, point", [
+        ("Omega2", "0.09,-1", [], "Omega2 = -1.0: squared Rabi energy"),
+        ("t_m", "0.2,-0.1", [], "t_m = -0.1: t_m, dt_delay and ramp must"),
+        ("t_m", "0.2,0.32", ["model.N=41"], "t_m = 0.2: recurrence bound"),
+    ], ids=["negative_Omega2", "negative_t_m", "recurrence"])
+    def test_refused_point_exits_2_before_output(self, axis, values,
+                                                 overrides, point, tmp_path,
+                                                 capsys):
+        # every point is planned before anything runs or is written
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--preset", "li", "--out", str(out), "--axis",
+                     axis, f"--values={values}",
+                     *(f"--override={o}" for o in overrides)])
+        assert code == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"configuration error: sweep point {point}")
+        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("axis", sorted(SWEEP_AXES))
     def test_values_refused_unless_finite_numbers(self, axis, tmp_path,
@@ -410,11 +439,19 @@ class TestOtherCommands:
         out = capsys.readouterr().out
         assert "ok" in out
 
-    def test_validate_fails_on_recurrence(self, capsys):
-        code = main(["validate", "--preset", "li",
-                     "--override", "model.N=41"])
-        assert code == 2
-        assert "recurrence" in capsys.readouterr().out
+    def test_validate_fails_on_recurrence(self, tmp_path, capsys):
+        # validate and run refuse with the same one line, warnings left out
+        args = ["--preset", "li", "--override", "model.N=41"]
+        assert main(["validate", *args]) == 2
+        validated = capsys.readouterr()
+        assert main(["run", *args, "--out", str(tmp_path / "o")]) == 2
+        ran = capsys.readouterr()
+        assert validated.out == ""
+        assert validated.err == ran.err
+        assert validated.err.count("\n") == 1
+        assert "recurrence" in ran.err and "decrease d_eps" in ran.err
+        assert "linewidth" not in ran.err
+        assert not (tmp_path / "o").exists()
 
     def test_run_requires_config_or_preset(self, capsys):
         assert main(["run", "--out", "/tmp/never"]) == 2

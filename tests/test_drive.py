@@ -99,15 +99,19 @@ class TestCoupling:
             assert envelope_at(sched, t) == 0.0
             assert coupling_at(sched, t) == 0.0
 
-    def test_clipped_ramped_window_ramps_down_at_its_own_end(self):
-        # li: the third window [15.10, 22.49) fs is cut off by a 20 fs run
+    @pytest.mark.parametrize("mode", ["pulsed", "continuous",
+                                      "rwa_continuous"])
+    def test_clipped_ramped_window_ramps_down_at_its_own_end(self, mode):
+        # li: a 20 fs run cuts off the third pulsed window [15.10, 22.49) fs
+        # and the continuous window, which never ramps down
         def li(t_total_fs):
             return build_schedule(za.ev_to_au(0.3), za.ev_to_au(2.5), 0.0,
-                                  fs(0.32), 0.0, "pulsed", fs(t_total_fs),
+                                  fs(0.32), 0.0, mode, fs(t_total_fs),
                                   envelope="cosine_ramp", ramp=fs(0.5))
 
         short, long = li(20.0), li(30.0)
-        assert short.windows[2, 1] == fs(20.0) < long.windows[2, 1]
+        last = len(short.windows) - 1
+        assert short.windows[last, 1] == fs(20.0) < long.windows[last, 1]
         assert envelope_at(short, fs(19.9)) == envelope_at(long, fs(19.9))
         assert envelope_at(short, fs(19.9)) == 1.0
         assert coupling_at(short, fs(19.9)) == coupling_at(long, fs(19.9))

@@ -151,25 +151,27 @@ class TestValidateResolution:
                                         za.fs_to_au(17.6))
         # recurrence-safe, but 7.48 points per linewidth misses the
         # 10-point rule: run allowed, named diagnostic emitted
-        assert report.recurrence_ok
         assert not report.linewidth_ok
         assert report.points_per_linewidth == pytest.approx(7.4797, rel=1e-4)
-        assert any("linewidth" in d for d in report.diagnostics)
+        assert report.recurrence_time == grid.recurrence_time
+        assert len(report.diagnostics) == 1
+        assert "linewidth" in report.diagnostics[0]
 
     def test_recurrence_violation_is_hard(self):
         grid = za.build_grid("S", za.ev_to_au(52.0), za.ev_to_au(2.0), 801,
                              1, za.fs_to_au(17.6))
-        report = za.validate_resolution(grid, za.fs_to_au(700.0),
-                                        za.fs_to_au(17.6))
-        assert not report.recurrence_ok
-        assert any("recurrence" in d for d in report.diagnostics)
+        with pytest.raises(ValueError, match=r"recurrence bound violated in "
+                           r"region S: .* fs exceeds T_rec = .* fs; "
+                           r"decrease d_eps"):
+            za.validate_resolution(grid, za.fs_to_au(700.0), za.fs_to_au(17.6))
 
     def test_fine_grid_passes_linewidth_rule(self):
         grid = za.build_grid("S", za.ev_to_au(52.0), za.ev_to_au(2.0), 20001,
                              1, za.fs_to_au(17.6))
         report = za.validate_resolution(grid, za.fs_to_au(100.0),
                                         za.fs_to_au(17.6))
-        assert report.recurrence_ok and report.linewidth_ok
+        assert report.linewidth_ok
+        assert report.diagnostics == ()
 
 
 class TestGoldenRuleConsistency:

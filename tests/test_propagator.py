@@ -154,12 +154,15 @@ class TestPropagate:
         diff = np.max(np.abs(finals(dt0) - finals(dt0 / 2)))
         assert diff < 1e-6
 
-    def test_clipped_ramped_run_matches_longer_run(self):
+    @pytest.mark.parametrize("mode", ["pulsed", "continuous",
+                                      "rwa_continuous"])
+    def test_clipped_ramped_run_matches_longer_run(self, mode):
         # the state at t must not depend on where the run stops
         def trace(t_total_fs):
             cfg = za.preset_config("li", overrides=[
                 "model.N=201", f"propagation.T_total={t_total_fs} fs",
-                "drive.envelope=cosine_ramp", "drive.ramp=0.5 fs"])
+                "drive.envelope=cosine_ramp", "drive.ramp=0.5 fs",
+                f"drive.mode={mode}"])
             return za.execute(cfg).trace
 
         short, long = trace(20), trace(30)

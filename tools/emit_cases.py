@@ -1,21 +1,24 @@
-"""Write the outputs of a fixed list of runs and sweeps, for diffing.
+"""Write the outputs of a fixed list of runs, validations and sweeps.
 
     PYTHONPATH=src python3 tools/emit_cases.py OUT
 
-Each case goes through ``zenoauger.cli.main`` into ``OUT/<case>/`` and its
-exit code is printed.  Running this once per checkout and comparing the
-two directories with ``diff -r`` shows which output files a change moves.
-The package is whichever ``zenoauger`` is first on ``PYTHONPATH``.
+Each case goes through ``zenoauger.cli.main``: a run or sweep writes into
+``OUT/<case>/``, and every case writes ``OUT/<case>.log`` with its exit
+code, stdout and stderr (the output root spelled ``OUT``).  Running this
+once per checkout and comparing the two directories with ``diff -r``
+shows which output files, exit codes and refusals a change moves.  The
+package is whichever ``zenoauger`` is first on ``PYTHONPATH``.
 """
-import contextlib
 import io
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 from zenoauger.cli import main
 
 RAMP = ["drive.envelope=cosine_ramp", "drive.ramp=0.5 fs"]
 T30 = "propagation.T_total=30 fs"
+N41 = "model.N=41"  # recurrence time within the 100 fs span: refused
 RUNS = {
     "li": ("li", []),
     "li_off": ("li", ["drive.mode=off"]),
@@ -33,17 +36,28 @@ RUNS = {
     "fig4": ("fig4", []),
     "fig3_circles": ("fig3_circles", ["propagation.T_total=20 fs"]),
     "fig3_squares": ("fig3_squares", ["propagation.T_total=20 fs"]),
+    "li_N41": ("li", [N41]),
 }
-SWEEPS = {"Omega2": "0,0.09,-1", "intensity": "0,5.1,10", "t_m": "0.16,0.32",
-          "dt_delay": "0,0.5", "omega": "2.4,2.5"}
+VALIDATIONS = {"validate_li": [], "validate_li_N41": [N41]}
+SWEEPS = {  # case -> (axis, values), each an li sweep at T_total = 30 fs
+    "sweep_Omega2": ("Omega2", "0,0.09,-1"),
+    "sweep_Omega2_ok": ("Omega2", "0,0.09,1"),
+    "sweep_intensity": ("intensity", "0,5.1,10"),
+    "sweep_t_m": ("t_m", "0.16,0.32"),
+    "sweep_t_m_negative": ("t_m", "0.2,-0.1"),
+    "sweep_dt_delay": ("dt_delay", "0,0.5"),
+    "sweep_omega": ("omega", "2.4,2.5"),
+}
 
 
 def cases(out: Path):
     for name, (preset, overrides) in RUNS.items():
         yield name, ["run", "--preset", preset, "--out", str(out / name),
                      *(f"--override={o}" for o in overrides)]
-    for axis, values in SWEEPS.items():
-        name = f"sweep_{axis}"
+    for name, overrides in VALIDATIONS.items():
+        yield name, ["validate", "--preset", "li",
+                     *(f"--override={o}" for o in overrides)]
+    for name, (axis, values) in SWEEPS.items():
         yield name, ["sweep", "--preset", "li", "--out", str(out / name),
                      "--axis", axis, f"--values={values}", f"--override={T30}"]
 
@@ -51,7 +65,13 @@ def cases(out: Path):
 if __name__ == "__main__":
     if len(sys.argv) != 2:
         sys.exit("usage: emit_cases.py OUT")
-    for name, argv in cases(Path(sys.argv[1])):
-        with contextlib.redirect_stdout(io.StringIO()):
+    root = Path(sys.argv[1]).resolve()
+    root.mkdir(parents=True, exist_ok=True)
+    for name, argv in cases(root):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
             code = main(argv)
+        log = f"exit {code}\n--- stdout\n{stdout.getvalue()}--- stderr\n"
+        (root / f"{name}.log").write_text(
+            (log + stderr.getvalue()).replace(str(root), "OUT"))
         print(f"{name}: exit {code}")
