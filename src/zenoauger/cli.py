@@ -20,9 +20,11 @@ import numpy
 import scipy
 
 from . import __version__, units
+# apply_axis_value is unused here but stays a name of this module:
+# perfbench/tracing.py wraps cli.apply_axis_value by name
 from .config import (FLOAT_FORMAT, SWEEP_AXES, ConfigError, RunConfig,
                      apply_axis_value, canonical_text, execute, format_float,
-                     load_config, plan, preset_config, PRESETS)
+                     load_config, plan, preset_config, sweep_point, PRESETS)
 from .observables import ObservableTrace
 from .propagator import ConvergenceError
 from .units import au_to_ev, au_to_fs
@@ -199,8 +201,7 @@ def cmd_sweep(args) -> int:
     payloads = []
     for i, v in enumerate(values):  # plan every point before any output
         try:
-            point = apply_axis_value(cfg, args.axis, SWEEP_AXES[args.axis](v))
-            plan(point)
+            point = sweep_point(cfg, args.axis, SWEEP_AXES[args.axis](v))
         except ValueError as exc:
             raise ConfigError(
                 f"sweep point {args.axis} = {v!r}: {exc}") from None

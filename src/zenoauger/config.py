@@ -390,6 +390,17 @@ def execute(cfg: RunConfig) -> RunResult:
                      splittings=stark_splittings(peaks))
 
 
+def sweep_point(cfg: RunConfig, axis: str, value: float) -> RunConfig:
+    """One sweep point's expanded configuration, planned but not run.
+
+    Raises as ``plan`` does, so a scan can refuse a bad point before it
+    runs any point.
+    """
+    point = apply_axis_value(cfg, axis, value)
+    plan(point)
+    return point
+
+
 def zeno_phase_scan(base_config: RunConfig, axis: str, values) -> list[dict]:
     """Run the base configuration once per axis value; tabulate lifetimes.
 
@@ -399,9 +410,10 @@ def zeno_phase_scan(base_config: RunConfig, axis: str, values) -> list[dict]:
     """
     if len(values) < 3:
         raise ValueError(f"a scan needs at least 3 points, got {len(values)}")
+    points = [sweep_point(base_config, axis, value) for value in values]
     rows = []
-    for value in values:
-        fit = execute(apply_axis_value(base_config, axis, value)).fit
+    for value, point in zip(values, points):
+        fit = execute(point).fit
         rows.append({
             "value": float(value),
             "tau_eff": fit.tau_eff,

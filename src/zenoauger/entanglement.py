@@ -9,6 +9,7 @@ as an independent path for validation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,6 @@ from .model import StateVector
 from .units import au_to_ev, au_to_fs
 
 EMISSION_FLOOR = 1e-12
-_WRITE_BLOCK = 65536  # triplet rows per write: no whole-file string
 
 # sigma_y (x) sigma_y in the occupation basis {|00>, |01>, |10>, |11>}
 _SPIN_FLIP = np.array([
@@ -69,6 +69,20 @@ def two_mode_concurrence(psi: StateVector, k: int, kp: int) -> float:
     return wootters_concurrence(reduced_two_mode_density(psi, k, kp))
 
 
+def _upper_rows(m: np.ndarray, floor: float):
+    """The pairs k < k' with C >= floor, one mode row k at a time.
+
+    Yields (k, keep, c): ``keep`` masks the columns k + 1, k + 2, ... of
+    row k whose C is at or above the floor, and ``c`` holds those C in
+    column order.  Rows that keep no pair are skipped.
+    """
+    for k in range(len(m) - 1):
+        c = 2.0 * (m[k] * m[k + 1:])  # as C multiplies: equal bit for bit
+        keep = c >= floor
+        if keep.any():
+            yield k, keep, c[keep]
+
+
 @dataclass(frozen=True, eq=False)
 class ConcurrenceMatrix:
     """Concurrence over all continuum modes, stored as its factor |b_k|.
@@ -96,12 +110,10 @@ class ConcurrenceMatrix:
 
     def to_sparse_triplets(self, floor: float = EMISSION_FLOOR) -> np.ndarray:
         """(n, 3) upper-triangle (eps_k, eps_k', C) rows with C >= floor."""
-        m = self.magnitudes
-        rows, cols = np.triu_indices(len(m), k=1)
-        c = 2.0 * (m[rows] * m[cols])  # as C multiplies: equal bit for bit
-        keep = c >= floor
         e = self.mode_energies
-        return np.column_stack((e[rows[keep]], e[cols[keep]], c[keep]))
+        return np.concatenate([np.empty((0, 3)), *(
+            np.column_stack((np.full(len(c), e[k]), e[k + 1:][keep], c))
+            for k, keep, c in _upper_rows(self.magnitudes, floor))])
 
 
 def write_concurrence(cmat: ConcurrenceMatrix, directory,
@@ -117,14 +129,17 @@ def write_concurrence(cmat: ConcurrenceMatrix, directory,
     out = Path(directory)
     out.mkdir(parents=True, exist_ok=True)
     fmt = "%.17g"
-    rows = cmat.to_sparse_triplets(floor)
-    rows[:, :2] = au_to_ev(rows[:, :2])
+    # each mode energy formatted once, as a line's first field and as its
+    # second field followed by the slot that C fills
+    energies_ev = au_to_ev(cmat.mode_energies).tolist()
+    firsts = ["%.17g," % e for e in energies_ev]
+    seconds = ["%.17g,%%.17g\n" % e for e in energies_ev]
     with open(out / "concurrence.csv", "w", encoding="utf-8") as handle:
         handle.write("eps_k_eV,eps_kp_eV,concurrence\n")
-        for start in range(0, len(rows), _WRITE_BLOCK):
-            block = rows[start:start + _WRITE_BLOCK]
-            handle.write(f"{fmt},{fmt},{fmt}\n" * len(block)
-                         % tuple(block.ravel().tolist()))
+        for k, keep, c in _upper_rows(cmat.magnitudes, floor):
+            # one mode row per write: no whole-file string
+            row = firsts[k].join(compress(seconds[k + 1:], keep.tolist()))
+            handle.write((firsts[k] + row) % tuple(c.tolist()))
     energies = cmat.mode_energies
     header = "\n".join((
         "{",

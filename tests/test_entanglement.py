@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -167,28 +168,57 @@ class TestEmission:
         assert header["regions"]["S"][0] == pytest.approx(50.0)
         assert header["regions"]["P"][1] == pytest.approx(56.5)
 
-    @pytest.mark.parametrize("floor", [1e-12, 1e-3, 1.0])
-    def test_csv_bytes_match_dense_reference(self, tmp_path, floor):
-        # 400 modes give 79 800 pairs, more than one block of written rows
+    @pytest.mark.parametrize("floor, zero_rows", [
+        pytest.param(floor, zero_rows,
+                     id=f"{floor}-zero-rows" if zero_rows else f"{floor}")
+        for zero_rows in (0, 40) for floor in (1e-12, 1e-3, 1.0, 0.0, -1.0)])
+    def test_csv_bytes_match_dense_reference(self, tmp_path, floor, zero_rows):
+        # 400 modes give 79 800 pairs over 399 mode rows; with zero_rows
+        # the leading modes are exactly zero, so above a floor of 0 their
+        # whole rows emit nothing
         n_modes, n_s = 400, 200
         rng = np.random.default_rng(11)
         data = rng.normal(size=n_modes + 2) + 1j * rng.normal(size=n_modes + 2)
         data[2 + rng.choice(n_modes, size=12, replace=False)] = 0.0
+        data[2:2 + zero_rows] = 0.0
         data /= np.linalg.norm(data)
         energies = np.sort(rng.uniform(1.5, 2.5, size=n_modes))
         cmat = za.concurrence_matrix(StateVector(data=data, n_s=n_s),
                                      mode_energies=energies)
-        # one formatted line per pair, read from the dense matrix
+        # one formatted line per upper-triangle pair, read from the dense
+        # matrix
         dense = cmat.C
+        rows, cols = np.triu_indices(n_modes, k=1)
+        keep = dense[rows, cols] >= floor
         fmt = "%.17g"
         lines = ["eps_k_eV,eps_kp_eV,concurrence"]
-        for i, j in zip(*np.nonzero(np.triu(dense, k=1) >= floor)):
+        for i, j in zip(rows[keep], cols[keep]):
             lines.append(",".join((fmt % za.au_to_ev(float(energies[i])),
                                    fmt % za.au_to_ev(float(energies[j])),
                                    fmt % float(dense[i, j]))))
         out = za.write_concurrence(cmat, tmp_path, floor=floor)
         written = (out / "concurrence.csv").read_bytes()
         assert written == ("\n".join(lines) + "\n").encode("utf-8")
+
+    def test_write_memory_does_not_grow_with_pairs(self, tmp_path):
+        # 2N = 2000 modes at floor 0: 1 999 000 triplets, 115 MB of text;
+        # a writer that streams mode rows holds one row at a time
+        n_modes = 2000
+        rng = np.random.default_rng(12)
+        data = rng.normal(size=n_modes + 2) + 1j * rng.normal(size=n_modes + 2)
+        data /= np.linalg.norm(data)
+        cmat = za.concurrence_matrix(
+            StateVector(data=data, n_s=n_modes // 2),
+            mode_energies=np.linspace(1.5, 2.5, n_modes))
+        tracemalloc.start()
+        try:
+            out = za.write_concurrence(cmat, tmp_path, floor=0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        with open(out / "concurrence.csv", "rb") as handle:
+            assert sum(1 for _ in handle) == 1 + n_modes * (n_modes - 1) // 2
 
 
 class TestWoottersOracle:

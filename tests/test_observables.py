@@ -195,6 +195,19 @@ class TestZenoPhaseScan:
         with pytest.raises(ValueError):
             za.zeno_phase_scan(cfg, "Omega2", [0.0, 1.0])
 
+    def test_plans_every_point_before_running_any(self, monkeypatch):
+        cfg = za.preset_config("li", overrides=[
+            "model.N=101", "propagation.T_total=6 fs",
+        ])
+        runs = []
+        execute = za.config.execute
+        monkeypatch.setattr(za.config, "execute",
+                            lambda point: runs.append(point) or execute(point))
+        values = [za.fs_to_au(t) for t in (0.2, 0.3, -0.1)]
+        with pytest.raises(ValueError, match="t_m"):
+            za.zeno_phase_scan(cfg, "t_m", values)
+        assert runs == []  # the negative t_m is refused up front
+
 
 class TestRwaAgreement:
     def test_lifetimes_agree_at_weak_coupling(self):

@@ -2,9 +2,12 @@
 
     PYTHONPATH=src python3 tools/emit_cases.py OUT
 
-Each case goes through ``zenoauger.cli.main``: a run or sweep writes into
-``OUT/<case>/``, and every case writes ``OUT/<case>.log`` with its exit
-code, stdout and stderr (the output root spelled ``OUT``).  Running this
+Each command case goes through ``zenoauger.cli.main``: a run or sweep
+writes into ``OUT/<case>/``, and every such case writes ``OUT/<case>.log``
+with its exit code, stdout and stderr (the output root spelled ``OUT``).
+No command writes a concurrence matrix, so the concurrence cases call
+``concurrence_matrix`` and ``write_concurrence`` on the final state of one
+fig4 run at model.N = 301, each into ``OUT/<case>/``.  Running this
 once per checkout and comparing the two directories with ``diff -r``
 shows which output files, exit codes and refusals a change moves.  The
 package is whichever ``zenoauger`` is first on ``PYTHONPATH``.
@@ -14,7 +17,11 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
+
 from zenoauger.cli import main
+from zenoauger.config import execute, preset_config
+from zenoauger.entanglement import concurrence_matrix, write_concurrence
 
 RAMP = ["drive.envelope=cosine_ramp", "drive.ramp=0.5 fs"]
 T30 = "propagation.T_total=30 fs"
@@ -49,6 +56,11 @@ SWEEPS = {  # case -> (axis, values), each an li sweep at T_total = 30 fs
     "sweep_omega": ("omega", "2.4,2.5"),
 }
 
+CONCURRENCE = {  # case -> write_concurrence keywords (none: default floor)
+    "fig4_N301_concurrence": {},
+    "fig4_N301_concurrence_floor0": {"floor": 0.0},
+}
+
 
 def cases(out: Path):
     for name, (preset, overrides) in RUNS.items():
@@ -75,3 +87,9 @@ if __name__ == "__main__":
         (root / f"{name}.log").write_text(
             (log + stderr.getvalue()).replace(str(root), "OUT"))
         print(f"{name}: exit {code}")
+    trace = execute(preset_config("fig4", ["model.N=301"])).trace
+    cmat = concurrence_matrix(
+        trace.final_state, np.concatenate((trace.energies_s, trace.energies_p)))
+    for name, keywords in CONCURRENCE.items():
+        write_concurrence(cmat, root / name, **keywords)
+        print(f"{name}: written")
