@@ -12,7 +12,6 @@ cfg = za.preset_config("fig3_circles", overrides=[
     "model.N=801",
     "propagation.T_total=300 fs",
     "propagation.sample_stride=1 fs",
-    "propagation.dt_max=0.42743545175798071 au",
 ])
 
 values_ev2 = [0.0, 1.0, 3.0, 7.0, 10.0]

@@ -480,7 +480,6 @@ PRESETS: dict[str, dict[str, str]] = {
         "drive.dt_delay": "0.0 fs",
         "propagation.T_total": "450.0 fs",
         "propagation.sample_stride": "1.0 fs",
-        "propagation.dt_max": "0.21371772587899035 au",
     },
     "fig3_squares": {
         "model.E1": "35.0 eV",
@@ -498,7 +497,6 @@ PRESETS: dict[str, dict[str, str]] = {
         "drive.dt_delay": "0.0 fs",
         "propagation.T_total": "450.0 fs",
         "propagation.sample_stride": "1.0 fs",
-        "propagation.dt_max": "0.21371772587899035 au",
     },
     "fig4": {
         "model.E1": "35.0 eV",

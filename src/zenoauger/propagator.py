@@ -1,11 +1,20 @@
 """Short-time Krylov propagation of the driven decay dynamics.
 
-Each step applies exp(-i H(t + dt/2) dt) in a Lanczos subspace built from
+Every exponential exp(-i H dt) v is taken in a Lanczos subspace built from
 the current state by the plain three-term recurrence (no
-reorthogonalization).  The a posteriori residual of the subspace
-exponential has the final say: a step whose residual stays above
-tolerance is halved until it falls below.  Steps are laid out so that no
-step straddles a pulse-window edge, where the coupling is discontinuous.
+reorthogonalization).  Where the coupling is constant over a step (field-
+free stretches, rotating-frame square windows) a step is the single
+midpoint exponential exp(-i H(t + dt/2) dt), exact for any dt.  Where it
+varies (full-field windows, ramped rotating-frame windows) a step is the
+commutator-free fourth-order CF4:2 scheme: two exponentials of length
+dt/2 with couplings combined from the two Gauss nodes (Blanes & Moan,
+Appl. Numer. Math. 56, 1519 (2006); Alvermann & Fehske, J. Comput. Phys.
+230, 5930 (2011)).  H is linear in the coupling, so each half is the
+exponential of H at an effective coupling.  The a posteriori residual of
+the subspace exponentials has the final say: a step whose residual stays
+above tolerance is halved until it falls below.  Steps are laid out so
+that no step straddles a pulse-window edge, where the coupling is
+discontinuous.
 """
 from __future__ import annotations
 
@@ -18,17 +27,26 @@ from .drive import PulseSchedule, build_schedule, coupling_at, envelope_at
 from .model import Hamiltonian, StateVector, rotating_frame
 from .observables import ObservableTrace, orbital_populations
 
-# Conservative caps on the step inside a full-field or ramped drive
-# window: resolve both the pulse area and the carrier oscillation.  The
-# midpoint scheme carries a secular phase error that beats against a
-# resonant carrier, so the carrier must be resolved well beyond the formal
-# stability bound for lifetime fits over hundreds of cycles to be
-# step-size converged.  A rotating-frame square window has no carrier and
-# a constant coupling, so H is constant there and needs neither cap.
-PULSE_STEP_FRACTION = 50.0
-CARRIER_STEP_FRACTION = 40.0
+# Caps on the CF4 step inside a full-field or ramped drive window: resolve
+# both the carrier oscillation and, for strong drives, the Rabi rotation;
+# tools/step_study.py prints tau_eff against both.  At 1/10 of the
+# carrier period every preset's tau_eff lies closer to its step limit
+# than the midpoint rule's did at 1/40 (1/80 for the fig3 presets).  The
+# closest call is the 450 fs fig3_circles point at 3 eV^2, 1e-3
+# (relative) off its limit, against 6e-3 for the midpoint rule at 1/80.
+# The pulse bound binds only where Omega > 0.4 omega (no preset); there
+# t_pi/12.5 leaves at most 1.4e-5 (fig4 at Omega = 6 eV), against 4e-4
+# for the midpoint rule at t_pi/50.  A rotating-frame square window has
+# no carrier and a constant coupling, so H is constant there and needs
+# neither cap.
+PULSE_STEP_FRACTION = 12.5
+CARRIER_STEP_FRACTION = 10.0
 MAX_HALVINGS = 40
 _BREAKDOWN = 1e-14
+# CF4:2 Gauss nodes c1, c2 (fractions of the step) and weights a1, a2
+_ROOT3_6 = math.sqrt(3.0) / 6.0
+_C1, _C2 = 0.5 - _ROOT3_6, 0.5 + _ROOT3_6
+_A1, _A2 = 0.25 - _ROOT3_6, 0.25 + _ROOT3_6
 
 
 class ConvergenceError(RuntimeError):
@@ -49,9 +67,11 @@ class PropagationConfig:
     ``dt_max`` caps the step inside drive windows on top of the built-in
     pulse/carrier bounds, which apply to full-field and ramped windows
     only (a rotating-frame square window is otherwise stepped once per
-    sample interval); ``sample_dt`` is the observable output stride,
-    T_total / 400 unless given (cycle boundaries and window edges are
-    always sampled as well).  Snapshot times lie in [0, T_total].
+    sample interval).  In a full-field or ramped window a capped step is
+    one CF4 step of two Lanczos exponentials, in a square rotating-frame
+    window one midpoint exponential.  ``sample_dt`` is the observable
+    output stride, T_total / 400 unless given (cycle boundaries and window
+    edges are always sampled as well).  Snapshot times lie in [0, T_total].
     """
 
     T_total: float
@@ -152,11 +172,40 @@ def _subspace_exp(alphas: np.ndarray, betas: np.ndarray, dt: float,
     return u, err
 
 
-def _step_array(vec: np.ndarray, t: float, dt: float, ham: Hamiltonian,
-                schedule: PulseSchedule, krylov_dim: int, residual_tol: float,
-                depth: int = 0) -> np.ndarray:
+def _midpoint(vec: np.ndarray, t: float, dt: float, ham: Hamiltonian,
+              schedule: PulseSchedule, krylov_dim: int, residual_tol: float
+              ) -> tuple[np.ndarray, float]:
+    """exp(-i H(t + dt/2) dt) vec, exact where the coupling is constant."""
     g = coupling_at(schedule, t + 0.5 * dt)
     out, err, _ = _lanczos_expv(ham, g, vec, dt, krylov_dim, residual_tol)
+    return out, err
+
+
+def _cf4(vec: np.ndarray, t: float, dt: float, ham: Hamiltonian,
+         schedule: PulseSchedule, krylov_dim: int, residual_tol: float
+         ) -> tuple[np.ndarray, float]:
+    """One CF4:2 step: exp(-i dt/2 H(g_b)) exp(-i dt/2 H(g_a)) vec.
+
+    With g_i = g(t + c_i dt) at the Gauss nodes, g_a = 2 (a2 g1 + a1 g2)
+    and g_b = 2 (a1 g1 + a2 g2).  The error bound is the sum of the two
+    residuals; each exponential gets half the budget, so the step fails
+    only where one of them cannot meet its half.
+    """
+    g1 = coupling_at(schedule, t + _C1 * dt)
+    g2 = coupling_at(schedule, t + _C2 * dt)
+    half = 0.5 * dt
+    tol = 0.5 * residual_tol
+    mid, err_a, _ = _lanczos_expv(ham, 2.0 * (_A2 * g1 + _A1 * g2), vec,
+                                  half, krylov_dim, tol)
+    out, err_b, _ = _lanczos_expv(ham, 2.0 * (_A1 * g1 + _A2 * g2), mid,
+                                  half, krylov_dim, tol)
+    return out, err_a + err_b
+
+
+def _step_array(vec: np.ndarray, t: float, dt: float, ham: Hamiltonian,
+                schedule: PulseSchedule, krylov_dim: int, residual_tol: float,
+                scheme=_midpoint, depth: int = 0) -> np.ndarray:
+    out, err = scheme(vec, t, dt, ham, schedule, krylov_dim, residual_tol)
     if err < residual_tol:
         return out
     if depth >= MAX_HALVINGS:
@@ -166,9 +215,9 @@ def _step_array(vec: np.ndarray, t: float, dt: float, ham: Hamiltonian,
         )
     half = 0.5 * dt
     mid = _step_array(vec, t, half, ham, schedule, krylov_dim, residual_tol,
-                      depth + 1)
+                      scheme, depth + 1)
     return _step_array(mid, t + half, half, ham, schedule, krylov_dim,
-                       residual_tol, depth + 1)
+                       residual_tol, scheme, depth + 1)
 
 
 def step(psi: StateVector, t: float, dt: float, ham: Hamiltonian,
@@ -190,9 +239,13 @@ def step(psi: StateVector, t: float, dt: float, ham: Hamiltonian,
 def evolve_interval(vec: np.ndarray, t0: float, t1: float, ham: Hamiltonian,
                     schedule: PulseSchedule, dt_max: float,
                     krylov_dim: int = PropagationConfig.krylov_dim,
-                    residual_tol: float = PropagationConfig.residual_tol
-                    ) -> np.ndarray:
-    """March [t0, t1) in uniform substeps no longer than dt_max."""
+                    residual_tol: float = PropagationConfig.residual_tol,
+                    scheme=_midpoint) -> np.ndarray:
+    """March [t0, t1) in uniform substeps no longer than dt_max.
+
+    Each substep is one ``scheme`` step: ``_cf4`` where the coupling
+    varies in time over the interval, ``_midpoint`` where it is constant.
+    """
     span = t1 - t0
     if span <= 0:
         return vec
@@ -200,7 +253,7 @@ def evolve_interval(vec: np.ndarray, t0: float, t1: float, ham: Hamiltonian,
     dt = span / n_sub
     for i in range(n_sub):
         vec = _step_array(vec, t0 + i * dt, dt, ham, schedule,
-                          krylov_dim, residual_tol)
+                          krylov_dim, residual_tol, scheme)
     return vec
 
 
@@ -239,6 +292,8 @@ def propagate(psi0: StateVector, ham: Hamiltonian, schedule: PulseSchedule,
     times = sample_times(schedule, config)
     n_samples = len(times)
     drive_bound = drive_step_bound(schedule)
+    # the coupling varies inside full-field and ramped windows only
+    window_scheme = _cf4 if math.isfinite(drive_bound) else _midpoint
     if config.dt_max is not None:
         drive_bound = min(drive_bound, config.dt_max)
 
@@ -260,7 +315,8 @@ def propagate(psi0: StateVector, ham: Hamiltonian, schedule: PulseSchedule,
             inside = envelope_at(schedule, 0.5 * (t0 + t)) > 0.0
             dt_cap = drive_bound if inside else (t - t0)
             vec = evolve_interval(vec, t0, t, ham, schedule, dt_cap,
-                                  config.krylov_dim, config.residual_tol)
+                                  config.krylov_dim, config.residual_tol,
+                                  window_scheme if inside else _midpoint)
         n_c[i], _, p1[i], p2[i], _ = orbital_populations(
             StateVector(vec, n_s, t))
         if snapshot[i]:

@@ -138,8 +138,8 @@ class TestPropagate:
             assert np.array_equal(spectrum.A_p, abs(psi.b_p) ** 2)
 
     def test_step_halving_converges_final_populations(self):
-        # full-field drive; at 640 carrier samples the exponential-midpoint
-        # scheme is deep in its quadratic regime
+        # full-field drive; at 640 carrier samples the fourth-order CF4
+        # scheme is deep in its asymptotic regime
         dt0 = 0.05342943283595029
         base = ["propagation.T_total=5 fs", "model.N=201",
                 "propagation.sample_stride=1 fs"]
@@ -172,19 +172,95 @@ class TestPropagate:
             assert np.max(np.abs(getattr(long, name)[shared]
                                  - getattr(short, name))) < 1e-12
 
-    def test_square_rwa_run_takes_one_exponential_per_sample(self, monkeypatch):
-        calls = []
+    @staticmethod
+    def count_calls(monkeypatch, mode):
+        """(coupling_at calls, Lanczos exponentials, trace) of an li run."""
+        calls = {"coupling": 0, "expv": 0}
+        expv = prop._lanczos_expv
 
-        def counting(schedule, t):
-            calls.append(t)
+        def counting_coupling(schedule, t):
+            calls["coupling"] += 1
             return coupling_at(schedule, t)
 
-        monkeypatch.setattr(prop, "coupling_at", counting)
+        def counting_expv(*args):
+            calls["expv"] += 1
+            return expv(*args)
+
+        monkeypatch.setattr(prop, "coupling_at", counting_coupling)
+        monkeypatch.setattr(prop, "_lanczos_expv", counting_expv)
         cfg = za.preset_config("li", overrides=[
-            "drive.mode=rwa_pulsed", "propagation.T_total=20 fs",
-            "model.N=201"])
+            f"drive.mode={mode}", "propagation.T_total=20 fs", "model.N=201"])
         trace = za.execute(cfg).trace
-        assert len(calls) == len(trace.times) - 1
+        return calls["coupling"], calls["expv"], trace
+
+    def test_square_rwa_run_takes_one_exponential_per_sample(self, monkeypatch):
+        couplings, exponentials, trace = self.count_calls(monkeypatch,
+                                                          "rwa_pulsed")
+        assert couplings == exponentials == len(trace.times) - 1
+
+    def test_full_field_run_takes_one_coupling_call_per_exponential(
+            self, monkeypatch):
+        # a CF4 step reads the coupling at its two Gauss nodes and takes
+        # one exponential at each combination of the two
+        couplings, exponentials, _ = self.count_calls(monkeypatch, "pulsed")
+        assert couplings == exponentials
+
+    def test_full_field_run_discards_no_cf4_step(self, monkeypatch):
+        # each exponential of a CF4 step gets half the residual budget, so
+        # two converged exponentials never add up to a failed step
+        cf4 = prop._cf4
+        failed = []
+
+        def checking(vec, t, dt, ham, schedule, krylov_dim, residual_tol):
+            out, err = cf4(vec, t, dt, ham, schedule, krylov_dim,
+                           residual_tol)
+            failed.append(err >= residual_tol)
+            return out, err
+
+        monkeypatch.setattr(prop, "_cf4", checking)
+        za.execute(za.preset_config("li", overrides=[
+            "propagation.T_total=20 fs", "model.N=201"]))
+        assert failed and not any(failed)
+
+    def test_full_field_pulses_fourth_order_against_dense_products(
+            self, monkeypatch):
+        # dimension 40, resonant carrier; the oracle takes dense expm
+        # midpoint products at 1/256 of the coarse step, with g(t) written
+        # out from the window list.  The built-in bounds are lifted so
+        # dt_max alone sets the step; halving it must cut the error of
+        # the final state about 16-fold (the midpoint rule gives 4).
+        monkeypatch.setattr(prop, "CARRIER_STEP_FRACTION", 1.0)
+        monkeypatch.setattr(prop, "PULSE_STEP_FRACTION", 1.0)
+        levels, _, _, ham = small_system(n_points=19)
+        Omega = za.ev_to_au(4.0)
+        omega = levels.E2 - levels.E1
+        T = za.fs_to_au(3.0)
+        sched = build_schedule(Omega, omega, 0.0, za.fs_to_au(0.4),
+                               za.fs_to_au(0.3), "pulsed", T)
+        assert len(sched.windows) >= 3
+        h = (2 * math.pi / omega) / 10
+
+        def run(dt_max):
+            cfg = prop.PropagationConfig(T_total=T, sample_dt=T / 25,
+                                         dt_max=dt_max, residual_tol=1e-13)
+            return prop.propagate(prop.initial_state(ham), ham, sched, cfg)
+
+        coarse, fine = run(h), run(h / 2)
+        h0, v = ham.dense(0.0), ham.dense(1.0) - ham.dense(0.0)
+        vec = prop.initial_state(ham).data
+        for t0, t1 in zip(coarse.times[:-1], coarse.times[1:]):
+            mid = 0.5 * (t0 + t1)
+            inside = np.any((sched.windows[:, 0] <= mid)
+                            & (mid < sched.windows[:, 1]))
+            n = math.ceil((t1 - t0) / (h / 256)) if inside else 1
+            dt = (t1 - t0) / n
+            for j in range(n):
+                t = t0 + (j + 0.5) * dt
+                g = Omega * math.sin(omega * t) if inside else 0.0
+                vec = scipy.linalg.expm(-1j * dt * (h0 + g * v)) @ vec
+        errors = [np.max(np.abs(trace.final_state.data - vec))
+                  for trace in (coarse, fine)]
+        assert 12.0 <= errors[0] / errors[1] <= 20.0
 
     def test_rwa_pulse_train_matches_dense_products(self):
         # dimension 40; the oracle steps the same piecewise-constant H with

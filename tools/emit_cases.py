@@ -28,6 +28,7 @@ T30 = "propagation.T_total=30 fs"
 N41 = "model.N=41"  # recurrence time within the 100 fs span: refused
 RUNS = {
     "li": ("li", []),
+    "li_dt_max": ("li", ["propagation.dt_max=3 au"]),  # below carrier/10
     "li_off": ("li", ["drive.mode=off"]),
     "li_rwa_pulsed": ("li", ["drive.mode=rwa_pulsed"]),
     "li_continuous": ("li", [T30, "drive.mode=continuous"]),
