@@ -127,33 +127,44 @@ def _lanczos_expv(ham: Hamiltonian, g: complex, v: np.ndarray, dt: float,
     product of the recurrence coefficients decides when the subspace is
     plausibly converged; the tridiagonal exponential and its a posteriori
     residual are only evaluated then, and the residual has the final say.
+    The real scalings act on float64 views of the complex vectors and give
+    the bits of the complex arithmetic without its temporaries: the two
+    differ only in the sign of a zero, and w holds no -0 (the matvec sums
+    from +0, and +0 - 0 and x - x are +0), so numpy's w / (beta + 0j),
+    Smith's algorithm at ratio 0, is (re * (1/beta), im * (1/beta)), and
+    subtracting the real a v leaves the same w as the complex one.
     """
     dim = len(v)
     m_cap = min(m_max, dim)
     basis = np.empty((m_cap + 1, dim), dtype=complex)
     basis[0] = v
+    flat = basis.view(float)  # real and imaginary parts interleaved
+    scratch = np.empty(2 * dim)
     alphas = np.empty(m_cap + 1)
     betas = np.empty(m_cap + 1)
 
     w = ham.apply(basis[0], g)
     alphas[0] = np.vdot(basis[0], w).real
-    w -= alphas[0] * basis[0]
+    wf = w.view(float)
+    wf -= np.multiply(flat[0], alphas[0], out=scratch)
 
     abs_dt = abs(dt)
     series = 1.0  # running prod(beta_i |dt| / i), tracks the truncation error
     for j in range(1, m_cap + 1):
-        beta = float(np.linalg.norm(w))
+        re, im = w.real, w.imag  # np.linalg.norm(w), term for term
+        beta = math.sqrt(re.dot(re) + im.dot(im))
         series *= beta * abs_dt / j
         if series < 0.125 * tol or beta < _BREAKDOWN or j == m_cap:
             u, err = _subspace_exp(alphas[:j], betas[1:j], dt, beta)
             if err < tol or beta < _BREAKDOWN or j == m_cap:
                 return basis[:j].T @ u, err, j
         betas[j] = beta
-        np.divide(w, beta, out=basis[j])
+        np.multiply(wf, 1.0 / beta, out=flat[j])
         w = ham.apply(basis[j], g)
         alphas[j] = np.vdot(basis[j], w).real
-        w -= alphas[j] * basis[j]
-        w -= beta * basis[j - 1]
+        wf = w.view(float)
+        wf -= np.multiply(flat[j], alphas[j], out=scratch)
+        wf -= np.multiply(flat[j - 1], beta, out=scratch)
     raise AssertionError("unreachable: loop always returns at j == m_cap")
 
 
@@ -162,10 +173,10 @@ def _subspace_exp(alphas: np.ndarray, betas: np.ndarray, dt: float,
     """First column of exp(-i dt T) for tridiagonal T, plus residual estimate."""
     m = len(alphas)
     tri = np.zeros((m, m))
-    idx = np.arange(m)
-    tri[idx, idx] = alphas
-    tri[idx[:-1], idx[:-1] + 1] = betas
-    tri[idx[:-1] + 1, idx[:-1]] = betas
+    entries = tri.reshape(-1)  # a view: every (m + 1)-th entry is diagonal
+    entries[::m + 1] = alphas
+    entries[1::m + 1] = betas
+    entries[m::m + 1] = betas
     lam, q = np.linalg.eigh(tri)
     u = q @ (np.exp(-1j * dt * lam) * q[0])
     err = abs(dt) * beta_next * abs(u[-1])

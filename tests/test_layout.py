@@ -1,7 +1,11 @@
-"""Package layout: every package import sits at module top level and the
-imports between modules point one way."""
+"""Package layout: every package import sits at module top level, the
+imports between modules point one way, and importing the package leaves
+scipy.linalg unloaded."""
 import ast
 import graphlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -61,3 +65,15 @@ def test_module_imports_are_acyclic():
         graphlib.TopologicalSorter(graph).prepare()
     except graphlib.CycleError as exc:
         pytest.fail(f"import cycle: {' -> '.join(exc.args[1])}")
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    # loading scipy.linalg adds about 0.12 s to every fresh interpreter
+    # that imports the package, the command line included
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH")))))
+    code = ("import sys, zenoauger, zenoauger.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[]"

@@ -212,10 +212,11 @@ class TestZenoPhaseScan:
 class TestRwaAgreement:
     def test_lifetimes_agree_at_weak_coupling(self):
         # (hbar Omega)^2 = 1 eV^2 against a 10 eV carrier: the
-        # rotating-wave and full-field effective lifetimes agree to 5%
+        # rotating-wave and full-field effective lifetimes agree to 5%, at
+        # the built-in step bounds (each tau_eff within 5e-5 of its value
+        # at carrier/40)
         overrides = ["model.N=1001", "propagation.T_total=400 fs",
-                     "propagation.sample_stride=1 fs",
-                     "propagation.dt_max=0.42743545175798071 au"]
+                     "propagation.sample_stride=1 fs"]
         taus = {}
         for mode in ("pulsed", "rwa_pulsed"):
             cfg = za.preset_config("fig3_circles",

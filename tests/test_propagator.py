@@ -80,6 +80,63 @@ class TestStep:
                       krylov_dim=4, residual_tol=0.0)
 
 
+def textbook_expv(ham, g, v, dt, m_max, tol):
+    """The Lanczos exponential in plain complex arithmetic: the reference
+    that every rewrite of ``_lanczos_expv`` must match bit for bit."""
+    m_cap = min(m_max, len(v))
+    basis = np.empty((m_cap + 1, len(v)), dtype=complex)
+    basis[0] = v
+    alphas = np.empty(m_cap + 1)
+    betas = np.empty(m_cap + 1)
+    w = ham.apply(basis[0], g)
+    alphas[0] = np.vdot(basis[0], w).real
+    w -= alphas[0] * basis[0]
+    series = 1.0
+    for j in range(1, m_cap + 1):
+        beta = float(np.linalg.norm(w))
+        series *= beta * abs(dt) / j
+        if series < 0.125 * tol or beta < prop._BREAKDOWN or j == m_cap:
+            idx = np.arange(j)
+            tri = np.zeros((j, j))
+            tri[idx, idx] = alphas[:j]
+            tri[idx[:-1], idx[:-1] + 1] = betas[1:j]
+            tri[idx[:-1] + 1, idx[:-1]] = betas[1:j]
+            lam, q = np.linalg.eigh(tri)
+            u = q @ (np.exp(-1j * dt * lam) * q[0])
+            err = abs(dt) * beta * abs(u[-1])
+            if err < tol or beta < prop._BREAKDOWN or j == m_cap:
+                return basis[:j].T @ u, err, j
+        betas[j] = beta
+        basis[j] = w / beta
+        w = ham.apply(basis[j], g)
+        alphas[j] = np.vdot(basis[j], w).real
+        w -= alphas[j] * basis[j]
+        w -= beta * basis[j - 1]
+
+
+class TestLanczosBitExact:
+    # |dt| from 1e-3 to 20 au stops the recurrence at six dimensions from
+    # j = 3 up to the cap j = 16; |1> has exact zeros, a random state none
+    DTS = (1e-3, 0.05, 0.3, 1.0, 4.0, -1.0, 20.0)
+
+    @pytest.mark.parametrize("g", [0.0, 0.013, 0.01 - 0.02j])
+    @pytest.mark.parametrize("start", ["bound", "random"])
+    def test_matches_textbook_recurrence(self, g, start):
+        _, _, _, ham = small_system(n_points=31)
+        v = (prop.initial_state(ham).data if start == "bound"
+             else random_state(ham, 5))
+        dims = set()
+        for dt in self.DTS:
+            out, err, j = prop._lanczos_expv(ham, g, v, dt, 16, 1e-10)
+            ref, ref_err, ref_j = textbook_expv(ham, g, v, dt, 16, 1e-10)
+            assert j == ref_j
+            assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
+            assert (np.float64(err).view(np.uint64)
+                    == np.float64(ref_err).view(np.uint64))
+            dims.add(j)
+        assert len(dims) >= 6
+
+
 class TestPropagate:
     def test_initial_state_is_fast_decayer(self):
         _, _, _, ham = small_system(n_points=31)

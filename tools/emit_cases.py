@@ -10,8 +10,16 @@ No command writes a concurrence matrix, so the concurrence cases call
 fig4 run at model.N = 301, each into ``OUT/<case>/``.  Running this
 once per checkout and comparing the two directories with ``diff -r``
 shows which output files, exit codes and refusals a change moves.  The
-package is whichever ``zenoauger`` is first on ``PYTHONPATH``.
+package is whichever ``zenoauger`` is first on ``PYTHONPATH``.  BLAS and
+OpenMP run on one thread, as in ``perfbench/run.py``: the last digits of
+every run's output depend on the thread count.
 """
+import os
+
+# One BLAS/OpenMP thread, set before numpy loads its BLAS.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
 import io
 import sys
 from contextlib import redirect_stderr, redirect_stdout
