@@ -178,6 +178,8 @@ def _run_sweep_point(payload):
 
 def cmd_run(args) -> int:
     cfg = _config_from_args(args)
+    plan(cfg)  # refuse a bad configuration before any output exists
+    Path(args.out).mkdir(parents=True, exist_ok=True)
     result = execute(cfg)
     out = emit(result, args.out)
     print(f"run complete: {out}")
@@ -306,6 +308,9 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

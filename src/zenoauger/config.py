@@ -271,8 +271,12 @@ def canonical_text(cfg: RunConfig) -> str:
 
 def load_config(path: str, overrides=None, preset: str | None = None) -> RunConfig:
     """Read, override and type a configuration file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        raw = parse_config_text(handle.read())
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
+    raw = parse_config_text(text)
     if preset is not None:
         raw["preset"] = preset
     raw = apply_overrides(raw, overrides)

@@ -55,6 +55,11 @@ class PulseSchedule:
     def drive_active(self) -> bool:
         return len(self.windows) > 0
 
+    @property
+    def coupling_varies(self) -> bool:
+        """Whether g changes inside a window (a carrier or a ramp)."""
+        return self.drive_active and not (self.is_rwa and self.ramp == 0.0)
+
 
 def build_schedule(
     Omega: float,

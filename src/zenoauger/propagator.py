@@ -27,18 +27,16 @@ from .drive import PulseSchedule, build_schedule, coupling_at, envelope_at
 from .model import Hamiltonian, StateVector, rotating_frame
 from .observables import ObservableTrace, orbital_populations
 
-# Caps on the CF4 step inside a full-field or ramped drive window: resolve
-# both the carrier oscillation and, for strong drives, the Rabi rotation;
-# tools/step_study.py prints tau_eff against both.  At 1/10 of the
+# Default CF4 step where the coupling varies, unless propagation.dt_max is
+# given: resolve the carrier oscillation and, for strong drives, the Rabi
+# rotation; tools/step_study.py prints tau_eff against both.  At 1/10 of the
 # carrier period every preset's tau_eff lies closer to its step limit
 # than the midpoint rule's did at 1/40 (1/80 for the fig3 presets).  The
 # closest call is the 450 fs fig3_circles point at 3 eV^2, 1e-3
 # (relative) off its limit, against 6e-3 for the midpoint rule at 1/80.
 # The pulse bound binds only where Omega > 0.4 omega (no preset); there
 # t_pi/12.5 leaves at most 1.4e-5 (fig4 at Omega = 6 eV), against 4e-4
-# for the midpoint rule at t_pi/50.  A rotating-frame square window has
-# no carrier and a constant coupling, so H is constant there and needs
-# neither cap.
+# for the midpoint rule at t_pi/50.
 PULSE_STEP_FRACTION = 12.5
 CARRIER_STEP_FRACTION = 10.0
 MAX_HALVINGS = 40
@@ -64,14 +62,14 @@ def initial_state(ham: Hamiltonian) -> StateVector:
 class PropagationConfig:
     """Solver settings; times in a.u.
 
-    ``dt_max`` caps the step inside drive windows on top of the built-in
-    pulse/carrier bounds, which apply to full-field and ramped windows
-    only (a rotating-frame square window is otherwise stepped once per
-    sample interval).  In a full-field or ramped window a capped step is
-    one CF4 step of two Lanczos exponentials, in a square rotating-frame
-    window one midpoint exponential.  ``sample_dt`` is the observable
-    output stride, T_total / 400 unless given (cycle boundaries and window
-    edges are always sampled as well).  Snapshot times lie in [0, T_total].
+    ``dt_max`` is the CF4 step where the coupling varies inside a drive
+    window (full-field and ramped windows), :func:`drive_step_bound`
+    (carrier/10 or t_pi/12.5) unless given.  It does not apply where the
+    coupling is constant (field-free stretches, square rotating-frame
+    windows): one exponential spans each sample interval there.
+    ``sample_dt`` is the observable output stride, T_total / 400 unless
+    given (cycle boundaries and window edges are always sampled as well).
+    Snapshot times lie in [0, T_total].
     """
 
     T_total: float
@@ -102,15 +100,12 @@ class PropagationConfig:
 
 
 def drive_step_bound(schedule: PulseSchedule) -> float:
-    """Largest step allowed while the drive is on.
+    """Default CF4 step inside windows where the coupling varies.
 
-    Unbounded where H is constant inside every window: without a drive,
-    and in the rotating frame with a square envelope (ramp 0), where the
-    midpoint exponential is exact for any step length.
+    Unbounded where it does not (``schedule.coupling_varies`` is false):
+    there H is constant and one exponential is exact for any step.
     """
-    if not schedule.drive_active:
-        return math.inf
-    if schedule.is_rwa and schedule.ramp == 0.0:
+    if not schedule.coupling_varies:
         return math.inf
     bound = schedule.t_pi / PULSE_STEP_FRACTION
     omega = abs(schedule.omega)  # the carrier period is 2 pi / |omega|
@@ -255,7 +250,7 @@ def evolve_interval(vec: np.ndarray, t0: float, t1: float, ham: Hamiltonian,
     """March [t0, t1) in uniform substeps no longer than dt_max.
 
     Each substep is one ``scheme`` step: ``_cf4`` where the coupling
-    varies in time over the interval, ``_midpoint`` where it is constant.
+    varies over the interval, ``_midpoint`` where it is constant.
     """
     span = t1 - t0
     if span <= 0:
@@ -292,6 +287,8 @@ def propagate(psi0: StateVector, ham: Hamiltonian, schedule: PulseSchedule,
               config: PropagationConfig, grids=None) -> ObservableTrace:
     """Propagate and record populations and snapshot states.
 
+    Inside windows where the coupling varies, CF4 steps of at most dt_max
+    (default :func:`drive_step_bound`); elsewhere one exponential per sample.
     Every pulse edge is a step boundary; observables are recorded at the
     configured stride and additionally at every cycle boundary.  The
     complex state, from which spectra and entanglement measures follow,
@@ -302,11 +299,9 @@ def propagate(psi0: StateVector, ham: Hamiltonian, schedule: PulseSchedule,
     """
     times = sample_times(schedule, config)
     n_samples = len(times)
-    drive_bound = drive_step_bound(schedule)
-    # the coupling varies inside full-field and ramped windows only
-    window_scheme = _cf4 if math.isfinite(drive_bound) else _midpoint
-    if config.dt_max is not None:
-        drive_bound = min(drive_bound, config.dt_max)
+    varies = schedule.coupling_varies
+    window_dt = config.dt_max or drive_step_bound(schedule)
+    solver = (config.krylov_dim, config.residual_tol)
 
     tol = 1e-9 * max(config.T_total, 1.0)
     cycle_flags = _near(times, schedule.cycle_boundaries, tol)
@@ -323,11 +318,12 @@ def propagate(psi0: StateVector, ham: Hamiltonian, schedule: PulseSchedule,
     for i, t in enumerate(times):
         if i:
             t0 = times[i - 1]
-            inside = envelope_at(schedule, 0.5 * (t0 + t)) > 0.0
-            dt_cap = drive_bound if inside else (t - t0)
-            vec = evolve_interval(vec, t0, t, ham, schedule, dt_cap,
-                                  config.krylov_dim, config.residual_tol,
-                                  window_scheme if inside else _midpoint)
+            if varies and envelope_at(schedule, 0.5 * (t0 + t)) > 0.0:
+                vec = evolve_interval(vec, t0, t, ham, schedule, window_dt,
+                                      *solver, _cf4)
+            else:  # H is constant over the interval
+                vec = evolve_interval(vec, t0, t, ham, schedule, t - t0,
+                                      *solver)
         n_c[i], _, p1[i], p2[i], _ = orbital_populations(
             StateVector(vec, n_s, t))
         if snapshot[i]:
@@ -369,6 +365,5 @@ def pi_pulse_transfer_check(
                               mode=mode, T_total=math.pi / Omega)
     if schedule.is_rwa:
         ham = rotating_frame(ham, omega)
-    config = PropagationConfig(T_total=schedule.t_pi, krylov_dim=8,
-                               residual_tol=residual_tol)
+    config = PropagationConfig(T_total=schedule.t_pi, residual_tol=residual_tol)
     return float(propagate(initial_state(ham), ham, schedule, config).P2[-1])

@@ -168,6 +168,35 @@ class TestRunCommand:
         out = tmp_path / "out"
         assert main(["run", "--config", str(path), "--out", str(out)]) == 0
 
+    def test_unreadable_config_is_a_configuration_error(self, tmp_path,
+                                                         capsys):
+        missing = tmp_path / "missing.conf"
+        assert main(["run", "--config", str(missing),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: cannot read")
+        assert str(missing) in err and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", [
+        ["run"], ["sweep", "--axis", "t_m", "--values", "0.2,0.3"]])
+    def test_uncreatable_out_exits_2_before_running(self, command, tmp_path,
+                                                    monkeypatch, capsys):
+        # a regular file where a parent directory of --out should be
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "sub"
+        executed = []
+        monkeypatch.setattr(cli, "execute",
+                            lambda cfg: executed.append(cfg) or za.execute(cfg))
+        code = main([*command, "--preset", "li", "--override",
+                     "propagation.T_total=2 fs", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("output error:") and str(out) in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert executed == []
+
     def test_malformed_unit_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.conf"
         path.write_text(GOOD_CONFIG + "drive.t_m = 0.32 picoseconds\n")

@@ -230,7 +230,7 @@ class TestPropagate:
                                  - getattr(short, name))) < 1e-12
 
     @staticmethod
-    def count_calls(monkeypatch, mode):
+    def count_calls(monkeypatch, mode, overrides=()):
         """(coupling_at calls, Lanczos exponentials, trace) of an li run."""
         calls = {"coupling": 0, "expv": 0}
         expv = prop._lanczos_expv
@@ -246,14 +246,44 @@ class TestPropagate:
         monkeypatch.setattr(prop, "coupling_at", counting_coupling)
         monkeypatch.setattr(prop, "_lanczos_expv", counting_expv)
         cfg = za.preset_config("li", overrides=[
-            f"drive.mode={mode}", "propagation.T_total=20 fs", "model.N=201"])
+            f"drive.mode={mode}", "propagation.T_total=20 fs", "model.N=201",
+            *overrides])
         trace = za.execute(cfg).trace
         return calls["coupling"], calls["expv"], trace
 
     def test_square_rwa_run_takes_one_exponential_per_sample(self, monkeypatch):
-        couplings, exponentials, trace = self.count_calls(monkeypatch,
-                                                          "rwa_pulsed")
-        assert couplings == exponentials == len(trace.times) - 1
+        # H is constant in a square rotating-frame window: dt_max does not
+        # apply there
+        for overrides in ([], ["propagation.dt_max=3 au"]):
+            with monkeypatch.context() as patch:
+                couplings, exponentials, trace = self.count_calls(
+                    patch, "rwa_pulsed", overrides)
+            assert couplings == exponentials == len(trace.times) - 1
+
+    def test_dt_max_replaces_the_drive_step_bound(self, monkeypatch):
+        # a dt_max above the built-in bound sets the CF4 step; it does not
+        # merely cap it
+        base = ["propagation.T_total=20 fs", "model.N=201"]
+        bound = prop.drive_step_bound(
+            za.config.plan(za.preset_config("li", overrides=base)).schedule)
+        cf4 = prop._cf4
+        calls = []
+
+        def counting(*args):
+            calls.append(args[2])
+            return cf4(*args)
+
+        monkeypatch.setattr(prop, "_cf4", counting)
+
+        def cf4_steps(overrides):
+            calls.clear()
+            za.execute(za.preset_config("li", overrides=base + overrides))
+            return len(calls), max(calls)
+
+        default, coarse = cf4_steps([]), cf4_steps(
+            [f"propagation.dt_max={2 * bound!r} au"])
+        assert default[1] <= bound < coarse[1] <= 2 * bound
+        assert coarse[0] < default[0]
 
     def test_full_field_run_takes_one_coupling_call_per_exponential(
             self, monkeypatch):
@@ -279,15 +309,12 @@ class TestPropagate:
             "propagation.T_total=20 fs", "model.N=201"]))
         assert failed and not any(failed)
 
-    def test_full_field_pulses_fourth_order_against_dense_products(
-            self, monkeypatch):
+    def test_full_field_pulses_fourth_order_against_dense_products(self):
         # dimension 40, resonant carrier; the oracle takes dense expm
         # midpoint products at 1/256 of the coarse step, with g(t) written
-        # out from the window list.  The built-in bounds are lifted so
-        # dt_max alone sets the step; halving it must cut the error of
-        # the final state about 16-fold (the midpoint rule gives 4).
-        monkeypatch.setattr(prop, "CARRIER_STEP_FRACTION", 1.0)
-        monkeypatch.setattr(prop, "PULSE_STEP_FRACTION", 1.0)
+        # out from the window list.  dt_max sets the CF4 step; halving it
+        # must cut the error of the final state about 16-fold (the
+        # midpoint rule gives 4).
         levels, _, _, ham = small_system(n_points=19)
         Omega = za.ev_to_au(4.0)
         omega = levels.E2 - levels.E1
@@ -389,6 +416,7 @@ class TestDriveStepBound:
         for kwargs in ({}, {"envelope": "cosine_ramp", "ramp": 0.0},
                        {"envelope": "square", "ramp": 2.0}):
             sched = make_schedule(1000.0, mode=mode, **kwargs)
+            assert not sched.coupling_varies
             assert prop.drive_step_bound(sched) == math.inf
 
     def test_negative_carrier_keeps_carrier_bound(self):
@@ -416,6 +444,7 @@ class TestDriveStepBound:
     def test_ramped_rwa_keeps_pulse_and_carrier_bound(self):
         sched = make_schedule(1000.0, mode="rwa_pulsed", envelope="cosine_ramp",
                               ramp=2.0)
+        assert sched.coupling_varies
         carrier = 2 * math.pi / za.ev_to_au(10.0)
         assert prop.drive_step_bound(sched) == min(
             sched.t_pi / prop.PULSE_STEP_FRACTION,

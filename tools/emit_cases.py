@@ -37,6 +37,8 @@ N41 = "model.N=41"  # recurrence time within the 100 fs span: refused
 RUNS = {
     "li": ("li", []),
     "li_dt_max": ("li", ["propagation.dt_max=3 au"]),  # below carrier/10
+    "li_dt_max_coarse": ("li", ["propagation.dt_max=10 au"]),  # above it
+    "li_rwa_dt_max": ("li", ["drive.mode=rwa_pulsed", "propagation.dt_max=3 au"]),
     "li_off": ("li", ["drive.mode=off"]),
     "li_rwa_pulsed": ("li", ["drive.mode=rwa_pulsed"]),
     "li_continuous": ("li", [T30, "drive.mode=continuous"]),

@@ -7,10 +7,8 @@ each it prints tau_eff at the built-in step bound ("default"), then with
 ``propagation.dt_max`` set to 1/40, 1/20, 1/10 and 1/6 of the carrier
 period.  The second table holds strong-drive runs (Omega > 0.4 omega),
 whose step is set by the pulse bound, with ``dt_max`` at 1/50, 1/25,
-1/12.5 and 1/8 of the pi-pulse time t_pi = pi/Omega.  For the ``dt_max``
-rows the built-in pulse and carrier bounds are lifted (both fractions
-set to 1), so that ``dt_max`` alone sets the step in full-field and
-ramped windows.
+1/12.5 and 1/8 of the pi-pulse time t_pi = pi/Omega.  In full-field and
+ramped windows ``dt_max`` replaces the built-in bound as the step.
 "order" is log2 of the ratio of successive differences over the first
 three fractions; "limit" extrapolates the first two values at that
 order, and "default - limit" is the step error the built-in bound leaves.
@@ -23,9 +21,8 @@ minute on one core.  The package is whichever ``zenoauger`` is first on
 """
 import math
 import sys
-from unittest import mock
 
-from zenoauger import HARTREE_EV, au_to_fs, propagator
+from zenoauger import HARTREE_EV, au_to_fs
 from zenoauger.config import apply_axis_value, execute, expand, preset_config
 
 T30 = "propagation.T_total=30 fs"
@@ -75,13 +72,11 @@ def study(preset, overrides, omega2_ev2, period, fractions):
     default, worst = run(config(preset, overrides, omega2_ev2))
     span = period(expand(config(preset, overrides, omega2_ev2)))
     taus = []
-    with mock.patch.multiple(propagator, CARRIER_STEP_FRACTION=1.0,
-                             PULSE_STEP_FRACTION=1.0):
-        for fraction in fractions:
-            tau, norm = run(config(preset, overrides, omega2_ev2, [
-                f"propagation.dt_max={span / fraction:.17g} au"]))
-            taus.append(tau)
-            worst = max(worst, norm)
+    for fraction in fractions:
+        tau, norm = run(config(preset, overrides, omega2_ev2, [
+            f"propagation.dt_max={span / fraction:.17g} au"]))
+        taus.append(tau)
+        worst = max(worst, norm)
     return default, taus, worst
 
 
