@@ -11,11 +11,11 @@ All quantities are in Hartree atomic units (hbar = 1).
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse
 
 from .units import au_to_ev, au_to_fs, ev_to_au
 
@@ -149,6 +149,36 @@ def default_window(tau_min: float, omega_rabi_max: float = 0.0) -> float:
                ev_to_au(2.0))
 
 
+@dataclass(frozen=True, eq=False, slots=True)
+class CSRMatrix:
+    """A square matrix's CSR arrays and scipy's compiled product.
+
+    :meth:`dot` makes the one call that ``scipy.sparse.csr_matrix.dot``
+    ends in for a vector, ``kernel`` (scipy's ``csr_matvec``) into a
+    zeroed result, without the dispatch layers above it: same entries,
+    same summation order, same bits.
+    """
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple[int, int]
+    kernel: Callable[..., None]
+
+    def dot(self, psi: np.ndarray) -> np.ndarray:
+        """Matrix @ psi for a vector psi; its length is checked here,
+        because the kernel reads as many entries as the matrix has
+        columns."""
+        n_rows, n_cols = self.shape
+        if psi.shape != (n_cols,):
+            raise ValueError(f"expected a vector of length {n_cols}, "
+                             f"got shape {psi.shape}")
+        out = np.zeros(n_rows, dtype=np.result_type(self.data, psi))
+        self.kernel(n_rows, n_cols, self.indptr, self.indices, self.data,
+                    psi, out)
+        return out
+
+
 @dataclass(frozen=True, eq=False)
 class Hamiltonian:
     """Arrowhead Hamiltonian: two bound states, two continuum blocks.
@@ -192,9 +222,15 @@ class Hamiltonian:
         return out
 
     @cached_property
-    def static_csr(self) -> scipy.sparse.csr_matrix:
+    def static_csr(self) -> CSRMatrix:
         """The drive-free part dense(0) in sparse form; :meth:`apply` adds
-        the drive element per product."""
+        the drive element per product.
+
+        scipy.sparse loads here, with the first product: importing the
+        package, planning and validating load no sparse code.
+        """
+        import scipy.sparse._sparsetools
+
         n = self.dimension
         s_idx = np.arange(2, 2 + self.n_s)
         p_idx = np.arange(2 + self.n_s, n)
@@ -205,7 +241,9 @@ class Hamiltonian:
                                np.ones(self.n_p, dtype=int)))
         vals = np.concatenate((self.diag, self.m_s, self.m_s,
                                self.m_p, self.m_p)).astype(complex)
-        return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+        mat = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+        return CSRMatrix(mat.data, mat.indices, mat.indptr, mat.shape,
+                         scipy.sparse._sparsetools.csr_matvec)
 
     def dense(self, g: complex = 0.0) -> np.ndarray:
         """Full matrix, for small-system cross-checks only."""

@@ -13,6 +13,8 @@ from unittest import mock
 
 import pytest
 
+from zenoauger import PropagationConfig
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 with mock.patch.dict(os.environ):  # run.py pins the BLAS thread count
     import run  # noqa: E402
@@ -33,3 +35,8 @@ def test_clean_pass_fails_no_operation(name, traced):
         metrics = tracer.metrics()
         assert metrics["drive.coupling_calls"] > 0
         assert metrics["propagator.intervals"] > 0
+        # the tracer counts products at static_csr.dot; a product path
+        # that skips it would read 0 matvecs here
+        assert metrics["model.matvecs"] > 0
+        assert (1 <= metrics["propagator.krylov_dim_mean"]
+                <= PropagationConfig.krylov_dim)

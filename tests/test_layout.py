@@ -1,6 +1,8 @@
 """Package layout: every package import sits at module top level, the
 imports between modules point one way, and importing the package leaves
-scipy.linalg unloaded."""
+scipy.linalg unloaded.  scipy.sparse loads inside
+``Hamiltonian.static_csr``, with the first product, so importing the
+package and ``validate`` leave it unloaded too."""
 import ast
 import graphlib
 import os
@@ -67,13 +69,30 @@ def test_module_imports_are_acyclic():
         pytest.fail(f"import cycle: {' -> '.join(exc.args[1])}")
 
 
+def loaded_after(code: str, prefix: str) -> str:
+    """The sorted list, as printed, of the modules under ``prefix`` that
+    are loaded after running ``code`` in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH")))))
+    code += (f"; print(sorted(m for m in sys.modules "
+             f"if m.startswith({prefix!r})))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    return out.stdout.strip().splitlines()[-1]
+
+
 def test_import_leaves_scipy_linalg_unloaded():
     # loading scipy.linalg adds about 0.12 s to every fresh interpreter
     # that imports the package, the command line included
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH")))))
-    code = ("import sys, zenoauger, zenoauger.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    assert loaded_after("import sys, zenoauger, zenoauger.cli",
+                        "scipy.linalg") == "[]"
+
+
+def test_import_and_validate_leave_scipy_sparse_unloaded():
+    # only a product needs sparse code; loading it costs every fresh
+    # interpreter that imports the package, plans or validates
+    assert loaded_after("import sys, zenoauger, zenoauger.cli",
+                        "scipy.sparse") == "[]"
+    validate = ("import sys, zenoauger, zenoauger.cli; assert "
+                "zenoauger.cli.main(['validate', '--preset', 'li']) == 0")
+    assert loaded_after(validate, "scipy.sparse") == "[]"

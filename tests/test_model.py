@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 from scipy.optimize import curve_fit
 
 import zenoauger as za
@@ -115,6 +116,56 @@ class TestAssemble:
         m_center = za.lifetime_to_coupling(tau1, 1.0) * math.sqrt(grid_s.d_eps)
         gamma = 2.0 * math.sqrt((popt[1] / 2) ** 2 - m_center**2)
         assert gamma == pytest.approx(1.0 / tau1, rel=0.02)
+
+
+class TestStaticCSR:
+    """``static_csr.dot`` calls scipy's private ``csr_matvec`` directly; it
+    must give the bits of ``scipy.sparse.csr_matrix.dot``, so a scipy that
+    moves or changes that kernel fails here."""
+
+    @staticmethod
+    def reference(ham):
+        n, n_s = ham.dimension, ham.n_s
+        s_idx = list(range(2, 2 + n_s))
+        p_idx = list(range(2 + n_s, n))
+        rows = list(range(n)) + [0] * n_s + s_idx + [1] * ham.n_p + p_idx
+        cols = list(range(n)) + s_idx + [0] * n_s + p_idx + [1] * ham.n_p
+        vals = np.concatenate((ham.diag, ham.m_s, ham.m_s, ham.m_p,
+                               ham.m_p)).astype(complex)
+        return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+    @pytest.fixture(scope="class", params=["small", "li_plus", "li"])
+    def ham(self, request):
+        if request.param == "small":
+            return small_system(n_points=63)[3]
+        p = za.plan(za.preset_config(request.param))
+        return za.assemble(p.levels, p.grid_s, p.grid_p)
+
+    def test_arrays_match_scipy(self, ham):
+        mat, ref = ham.static_csr, self.reference(ham)
+        assert mat.shape == ref.shape == (ham.dimension, ham.dimension)
+        for name in ("data", "indices", "indptr"):
+            got, want = getattr(mat, name), getattr(ref, name)
+            assert got.dtype == want.dtype, name
+            assert np.array_equal(got, want), name
+
+    @pytest.mark.parametrize("kind", ["complex", "real", "strided"])
+    def test_dot_is_bit_identical_to_scipy(self, ham, kind):
+        rng = np.random.default_rng(7)
+        n = ham.dimension
+        wide = rng.normal(size=2 * n) + 1j * rng.normal(size=2 * n)
+        v = {"complex": wide[:n].copy(), "real": wide.real[:n].copy(),
+             "strided": wide[::2]}[kind]
+        assert v.flags.c_contiguous == (kind != "strided")
+        got, want = ham.static_csr.dot(v), self.reference(ham).dot(v)
+        assert got.dtype == want.dtype == np.complex128
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_dot_refuses_a_wrong_shape(self, ham):
+        n = ham.dimension
+        for v in (np.zeros(n + 1, complex), np.zeros((n, 1), complex)):
+            with pytest.raises(ValueError, match=f"length {n}"):
+                ham.static_csr.dot(v)
 
 
 class TestRotatingFrame:
