@@ -12,8 +12,10 @@ with the frame shift on the Hamiltonian diagonal (model.rotating_frame).
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -54,6 +56,11 @@ class PulseSchedule:
     @property
     def drive_active(self) -> bool:
         return len(self.windows) > 0
+
+    @cached_property
+    def edges(self) -> tuple[list[float], list[float]]:
+        """The window starts and ends as lists, for bisection per call."""
+        return self.windows[:, 0].tolist(), self.windows[:, 1].tolist()
 
     @property
     def coupling_varies(self) -> bool:
@@ -133,13 +140,13 @@ def _locate(schedule: PulseSchedule, t: float) -> tuple[int, float]:
     when the run stops inside it, and a continuous window ramps up at 0 and
     never down, so no state depends on T_total.
     """
-    windows = schedule.windows
-    idx = int(np.searchsorted(windows[:, 0], t, side="right")) - 1
-    if idx < 0 or not t < windows[idx, 1]:
+    starts, ends = schedule.edges
+    idx = bisect.bisect_right(starts, t) - 1
+    if idx < 0 or not t < ends[idx]:
         return -1, 0.0
     if schedule.ramp == 0.0:
         return idx, 1.0
-    a = windows[idx, 0]
+    a = starts[idx]
     pulsed = schedule.mode.endswith("pulsed")
     b = a + (schedule.t_pi + schedule.ramp) if pulsed else math.inf
     r = min(schedule.ramp, 0.5 * (b - a))
@@ -172,5 +179,5 @@ def coupling_at(schedule: PulseSchedule, t: float) -> complex:
         return 0.0 + 0.0j
     if schedule.is_rwa:
         return complex(0.5 * schedule.Omega * f)
-    phase_t = t - schedule.windows[idx, 0] if schedule.phase_reset else t
+    phase_t = t - schedule.edges[0][idx] if schedule.phase_reset else t
     return complex(schedule.Omega * f * math.sin(schedule.omega * phase_t))

@@ -179,6 +179,227 @@ class CSRMatrix:
         return out
 
 
+# A coupling below this is zero: its square would be subnormal.
+_Z_FLOOR = math.sqrt(np.finfo(float).tiny)
+# Size of one float64 temporary of the secular solve and the Cauchy
+# transforms: they work on chunks of rows of an N x N matrix.
+_CHUNK_BYTES = 1 << 17
+_SECULAR_ITERATIONS = 64
+_EPS = float(np.finfo(float).eps)
+
+
+@dataclass(frozen=True, eq=False)
+class ArrowheadEigensystem:
+    """Eigensystem of a real arrowhead block [[alpha, z^T], [z, diag(d)]].
+
+    All arrays have length N + 1.  Column j of the orthogonal eigenvector
+    matrix Q, for the eigenvalue ``lam[j]``, is q0_j (1, z_k/(lam_j - d_k));
+    only its first entry ``q0[j]`` is stored and Q is never formed.
+    lam_j - d_k is taken as (d[origin_j] - d_k) + mu_j, where ``origin``
+    is the nearer pole of the root's gap and ``mu`` the root's offset from
+    it, so a root next to a pole keeps its distance to that pole to full
+    relative accuracy.  The roots of the secular equation come first, in
+    increasing order.  A pole whose coupling is zero follows them as an
+    eigenvalue of its own with eigenvector e_k (q0 = 0, mu = 0); a block
+    without any coupling has the bound state itself as its first column
+    (lam = alpha, q0 = 1, origin = -1).
+    """
+
+    lam: np.ndarray
+    q0: np.ndarray
+    origin: np.ndarray
+    mu: np.ndarray
+    d: np.ndarray
+    z: np.ndarray
+
+    @cached_property
+    def _layout(self) -> tuple[int, np.ndarray, np.ndarray]:
+        """(number of secular roots, coupled poles, uncoupled poles)."""
+        coupled = np.abs(self.z) > _Z_FLOOR
+        return (int(np.count_nonzero(coupled)) + 1, np.flatnonzero(coupled),
+                np.flatnonzero(~coupled))
+
+    def _inverse_gaps(self):
+        """Row chunks of 1/(lam_j - d_k) over the coupled poles k (rows)
+        and the secular roots j (columns), one chunk at a time."""
+        n_roots, rows, _ = self._layout
+        if not len(rows):
+            return
+        origin_d = self.d[self.origin[:n_roots]]
+        mu = self.mu[:n_roots]
+        step = max(1, _CHUNK_BYTES // (8 * n_roots))
+        buffer = np.empty((min(step, len(rows)), n_roots))
+        for start in range(0, len(rows), step):
+            chunk = rows[start:start + step]
+            inv = np.subtract(origin_d, self.d[chunk, None],
+                              out=buffer[:len(chunk)])
+            inv += mu
+            yield chunk, np.reciprocal(inv, out=inv)
+
+    def sites(self, coeffs: np.ndarray, out: np.ndarray | None = None
+              ) -> np.ndarray:
+        """Site amplitudes Q c of eigencoordinates c, bound state first.
+
+        ``coeffs`` has shape (N + 1,) or (N + 1, m), one state per column;
+        ``out``, of the same shape, may be ``coeffs`` itself.  The bound
+        amplitude is sum_j q0_j c_j and continuum amplitude k is
+        b_k = z_k sum_j q0_j c_j/(lam_j - d_k): each chunk of rows of the
+        real Cauchy matrix multiplies the float view of q0 c, so no
+        complex Cauchy block is formed.
+        """
+        n_roots, _, uncoupled = self._layout
+        c = np.asarray(coeffs, dtype=complex)
+        c2 = c.reshape(len(c), -1)
+        y = np.multiply(self.q0[:n_roots, None], c2[:n_roots], order="C")
+        alone = c2[n_roots:].copy()
+        if out is None:
+            out = np.empty_like(c)
+        out2 = out.reshape(c2.shape)
+        out2[0] = y.sum(axis=0)
+        out2[1 + uncoupled] = alone
+        y_float = y.view(float)
+        for chunk, inv in self._inverse_gaps():
+            block = inv @ y_float
+            block *= self.z[chunk, None]
+            out2[1 + chunk] = block.view(complex)
+        return out
+
+    def coefficients(self, sites: np.ndarray) -> np.ndarray:
+        """Eigencoordinates Q^T x of site amplitudes x (the inverse of
+        :meth:`sites`), with the same shapes."""
+        n_roots, _, uncoupled = self._layout
+        x = np.asarray(sites, dtype=complex)
+        x2 = x.reshape(len(x), -1)
+        acc = np.zeros((n_roots, 2 * x2.shape[1]))
+        for chunk, inv in self._inverse_gaps():
+            weighted = self.z[chunk, None] * x2[1 + chunk]
+            acc += inv.T @ weighted.view(float)
+        out = np.empty_like(x2)
+        out[:n_roots] = self.q0[:n_roots, None] * (x2[0] + acc.view(complex))
+        out[n_roots:] = x2[1 + uncoupled]
+        return out.reshape(x.shape)
+
+
+def _secular(alpha: float, d: np.ndarray, z2: np.ndarray,
+             origin: np.ndarray, mu: np.ndarray):
+    """F at lam = d[origin] + mu, F(lam) = alpha - lam + sum z_k^2/(lam - d_k).
+
+    Returns (F, psi, psi', scale): psi is F without the origin pole's term
+    z_o^2/mu, and scale the sum of the magnitudes of F's terms.
+    """
+    m = len(origin)
+    psi, dpsi, scale = np.empty(m), np.empty(m), np.empty(m)
+    step = max(1, _CHUNK_BYTES // (8 * len(d)))
+    buffers = np.empty((2, min(step, m), len(d)))
+    for start in range(0, m, step):
+        part = slice(start, start + step)
+        o = origin[part]
+        inv, terms = buffers[:, :len(o)]
+        np.subtract.outer(d[o], d, out=inv)
+        inv += mu[part, None]
+        inv[np.arange(len(o)), o] = np.inf  # the origin term is kept apart
+        np.reciprocal(inv, out=inv)
+        np.multiply(inv, z2, out=terms)
+        psi[part] = terms.sum(axis=1)
+        dpsi[part] = np.einsum("ij,ij->i", terms, inv)
+        scale[part] = np.abs(terms, out=terms).sum(axis=1)
+    shift = alpha - d[origin]
+    pole = z2[origin] / mu
+    psi += shift - mu
+    scale += np.abs(shift) + np.abs(mu) + np.abs(pole)
+    return psi + pole, psi, -1.0 - dpsi, scale
+
+
+def _secular_roots(alpha: float, d: np.ndarray, z: np.ndarray):
+    """(origin, mu, q0) of the N + 1 roots for couplings z that are all
+    nonzero and poles d that increase strictly.
+
+    One root lies in each gap of d and one beyond each end.  A root takes
+    the nearer end of its gap as origin, found from the sign of F at the
+    gap's midpoint.  Each iteration keeps the origin term z_o^2/mu exact,
+    linearizes the rest (psi) and solves the resulting quadratic in mu;
+    a bisection bracket guards it, and converged roots are frozen.
+    """
+    n = len(d)
+    z2 = z * z
+    reach = 2.0 * math.sqrt(float(z2.sum()))  # > |z|: roots lie within it
+    origin = np.empty(n + 1, dtype=np.intp)
+    lo, hi = np.empty(n + 1), np.empty(n + 1)
+    origin[0], lo[0], hi[0] = 0, min(alpha - d[0], 0.0) - reach, 0.0
+    origin[n], lo[n], hi[n] = n - 1, 0.0, max(alpha - d[-1], 0.0) + reach
+    if n > 1:
+        lower = np.arange(n - 1)
+        half = 0.5 * np.diff(d)
+        upper = _secular(alpha, d, z2, lower, half)[0] >= 0.0
+        origin[1:n] = lower + upper
+        lo[1:n] = np.where(upper, -half, 0.0)
+        hi[1:n] = np.where(upper, 0.0, half)
+
+    mu = 0.5 * (lo + hi)
+    slope = np.empty(n + 1)  # psi' at the accepted mu
+    todo = np.arange(n + 1)
+    for _ in range(_SECULAR_ITERATIONS):
+        o, m = origin[todo], mu[todo]
+        f, psi, dpsi, scale = _secular(alpha, d, z2, o, m)
+        low = np.where(f > 0.0, m, lo[todo])  # F decreases between poles
+        high = np.where(f < 0.0, m, hi[todo])
+        lo[todo], hi[todo] = low, high
+        # z_o^2/mu' + psi + psi' (mu' - mu) = 0 has one root on each side
+        # of the pole; take the one on the root's side
+        a, b, c = dpsi, psi - dpsi * m, z2[o]
+        q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b))
+        new = np.where(low >= 0.0, np.maximum(q / a, c / q),
+                       np.minimum(q / a, c / q))
+        new = np.where((low < new) & (new < high), new, 0.5 * (low + high))
+        settled = np.abs(f) <= 8.0 * _EPS * scale
+        new = np.where(settled, m, new)
+        done = (settled | (np.abs(new - m) <= 2.0 * _EPS * np.abs(new))
+                | (high - low <= 2.0 * _EPS * np.maximum(-low, high)))
+        mu[todo] = new
+        slope[todo] = dpsi
+        todo = todo[~done]
+        if not len(todo):
+            break
+    else:
+        raise RuntimeError(f"{len(todo)} secular roots did not converge in "
+                           f"{_SECULAR_ITERATIONS} iterations")
+    q0 = 1.0 / np.sqrt(z2[origin] / (mu * mu) - slope)
+    return origin, mu, q0
+
+
+def arrowhead_eigensystem(alpha: float, d, z) -> ArrowheadEigensystem:
+    """Eigensystem of [[alpha, z^T], [z, diag(d)]] from its secular equation.
+
+    The eigenvalues of coupled poles are the roots of
+    F(lam) = alpha - lam + sum z_k^2/(lam - d_k) (O'Leary & Stewart,
+    J. Comput. Phys. 90, 497 (1990)); the work is O(N^2) in time and
+    O(N) in memory beyond fixed-size chunks.  ``d`` must increase
+    strictly.  A block without continuum is 1 x 1, and one whose
+    couplings are all zero is diagonal already; neither needs a solve.
+    """
+    d = np.asarray(d, dtype=float)
+    z = np.asarray(z, dtype=float)
+    if d.shape != z.shape or d.ndim != 1:
+        raise ValueError(f"d and z must be vectors of one length, got shapes "
+                         f"{d.shape} and {z.shape}")
+    if np.any(np.diff(d) <= 0.0):
+        raise ValueError("pole energies d must increase strictly")
+    coupled = np.abs(z) > _Z_FLOOR
+    poles, uncoupled = np.flatnonzero(coupled), np.flatnonzero(~coupled)
+    if len(poles):
+        origin, mu, q0 = _secular_roots(float(alpha), d[poles], z[poles])
+        origin = poles[origin]
+        lam = d[origin] + mu
+    else:
+        origin, mu = np.array([-1]), np.zeros(1)
+        lam, q0 = np.array([float(alpha)]), np.ones(1)
+    return ArrowheadEigensystem(
+        lam=np.concatenate((lam, d[uncoupled])),
+        q0=np.concatenate((q0, np.zeros(len(uncoupled)))),
+        origin=np.concatenate((origin, uncoupled)),
+        mu=np.concatenate((mu, np.zeros(len(uncoupled)))), d=d, z=z)
+
+
 @dataclass(frozen=True, eq=False)
 class Hamiltonian:
     """Arrowhead Hamiltonian: two bound states, two continuum blocks.
@@ -244,6 +465,14 @@ class Hamiltonian:
         mat = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
         return CSRMatrix(mat.data, mat.indices, mat.indptr, mat.shape,
                          scipy.sparse._sparsetools.csr_matvec)
+
+    @cached_property
+    def eigensystems(self) -> tuple[ArrowheadEigensystem, ArrowheadEigensystem]:
+        """Eigensystems of the blocks {|1>, S} and {|2>, P} of dense(0)."""
+        return (arrowhead_eigensystem(self.diag[0], self.diag[self.s_block],
+                                      self.m_s),
+                arrowhead_eigensystem(self.diag[1], self.diag[self.p_block],
+                                      self.m_p))
 
     def dense(self, g: complex = 0.0) -> np.ndarray:
         """Full matrix, for small-system cross-checks only."""

@@ -1,20 +1,31 @@
-"""Short-time Krylov propagation of the driven decay dynamics.
+"""Propagation of the driven decay dynamics.
 
-Every exponential exp(-i H dt) v is taken in a Lanczos subspace built from
-the current state by the plain three-term recurrence (no
-reorthogonalization).  Where the coupling is constant over a step (field-
-free stretches, rotating-frame square windows) a step is the single
-midpoint exponential exp(-i H(t + dt/2) dt), exact for any dt.  Where it
-varies (full-field windows, ramped rotating-frame windows) a step is the
-commutator-free fourth-order CF4:2 scheme: two exponentials of length
-dt/2 with couplings combined from the two Gauss nodes (Blanes & Moan,
-Appl. Numer. Math. 56, 1519 (2006); Alvermann & Fehske, J. Comput. Phys.
-230, 5930 (2011)).  H is linear in the coupling, so each half is the
-exponential of H at an effective coupling.  The a posteriori residual of
-the subspace exponentials has the final say: a step whose residual stays
-above tolerance is halved until it falls below.  Steps are laid out so
-that no step straddles a pulse-window edge, where the coupling is
-discontinuous.
+Runs whose coupling varies inside a drive window (full-field windows,
+ramped rotating-frame windows) are propagated in the eigencoordinates of
+the two arrowhead blocks of the drive-free Hamiltonian H0, {|1>, S} and
+{|2>, P} (:meth:`Hamiltonian.eigensystems`).  There the H0 flow over any
+time is one exact phase multiply, and the drive g(t) (|2><1| + h.c.),
+frozen at one instant, is an exact rotation of the two bound amplitudes,
+read from and written back to the eigencoordinates through the |1> and
+|2> rows of the block eigenvectors.  A field-free stretch is one phase
+multiply.  A drive window takes steps of Blanes & Moan's fourth-order
+six-stage composition S6 (J. Comput. Appl. Math. 142, 313 (2002)): seven
+phase flows and six rotations per step, time advancing inside the phase
+flows, the last flow of one step merged with the first of the next.  No
+product with H is taken, so no Krylov space, residual or halving is
+involved.  At every sample the site amplitudes are computed from the
+eigencoordinates (:meth:`ArrowheadEigensystem.sites`) and the
+populations are read from them, never from the eigencoordinates.
+
+Runs whose coupling is constant inside every window (field-free runs,
+rotating-frame square windows) take one Lanczos exponential
+exp(-i H(t + dt/2) dt) v per sample interval, exact for any dt, built
+from the current state by the plain three-term recurrence (no
+reorthogonalization).  Its a posteriori residual has the final say: a
+step whose residual stays above tolerance is halved until it falls below.
+
+Steps are laid out so that no step straddles a sample or a pulse-window
+edge, where the coupling is discontinuous.
 """
 from __future__ import annotations
 
@@ -27,24 +38,35 @@ from .drive import PulseSchedule, build_schedule, coupling_at, envelope_at
 from .model import Hamiltonian, StateVector, rotating_frame
 from .observables import ObservableTrace, orbital_populations
 
-# Default CF4 step where the coupling varies, unless propagation.dt_max is
-# given: resolve the carrier oscillation and, for strong drives, the Rabi
-# rotation; tools/step_study.py prints tau_eff against both.  At 1/10 of the
-# carrier period every preset's tau_eff lies closer to its step limit
-# than the midpoint rule's did at 1/40 (1/80 for the fig3 presets).  The
-# closest call is the 450 fs fig3_circles point at 3 eV^2, 1e-3
-# (relative) off its limit, against 6e-3 for the midpoint rule at 1/80.
-# The pulse bound binds only where Omega > 0.4 omega (no preset); there
-# t_pi/12.5 leaves at most 1.4e-5 (fig4 at Omega = 6 eV), against 4e-4
-# for the midpoint rule at t_pi/50.
+# Default S6 step where the coupling varies, unless propagation.dt_max is
+# given: the shortest of carrier/10, ramp/2 and t_pi/12.5, which resolve
+# the carrier oscillation, the cosine ramps and the Rabi rotation of
+# strong drives; tools/step_study.py prints tau_eff against each.  The
+# pulse bound binds only where Omega > 0.4 omega (no preset), the ramp
+# bound only for ramps shorter than two carrier/10 steps.  The default
+# leaves every run of the study within 5e-6 (relative) of its step limit;
+# the closest call is the 450 fs fig3_circles point at 3 eV^2.
 PULSE_STEP_FRACTION = 12.5
 CARRIER_STEP_FRACTION = 10.0
+RAMP_STEP_FRACTION = 2.0
 MAX_HALVINGS = 40
 _BREAKDOWN = 1e-14
-# CF4:2 Gauss nodes c1, c2 (fractions of the step) and weights a1, a2
-_ROOT3_6 = math.sqrt(3.0) / 6.0
-_C1, _C2 = 0.5 - _ROOT3_6, 0.5 + _ROOT3_6
-_A1, _A2 = 0.25 - _ROOT3_6, 0.25 + _ROOT3_6
+# S6 flow lengths a_i and rotation lengths b_i as fractions of the step:
+# A(a1) B(b1) A(a2) B(b2) A(a3) B(b3) A(a4) B(b3) A(a3) B(b2) A(a2) B(b1) A(a1)
+_A1, _A2, _A3 = 0.0792036964311957, 0.353172906049774, -0.0420650803577195
+_A4 = 1.0 - 2.0 * (_A1 + _A2 + _A3)
+_B1, _B2 = 0.209515106613362, -0.143851773179818
+_B3 = 0.5 - (_B1 + _B2)
+_S6_WEIGHTS = (_B1, _B2, _B3, _B3, _B2, _B1)
+_S6_NODES = (_A1, _A1 + _A2, _A1 + _A2 + _A3, 1.0 - (_A1 + _A2 + _A3),
+             1.0 - (_A1 + _A2), 1.0 - _A1)  # rotation times in the step
+# Eigencoordinates of this many bytes of samples are turned into site
+# amplitudes together, so that the Cauchy matrix is built once per batch.
+_SAMPLE_BATCH_BYTES = 3 << 17
+# Phase flows kept for this many step lengths.  The sample intervals of a
+# window differ in their last bits, so its steps alternate between a few
+# floats; two entries cut the phase vectors li computes from 1271 to 356.
+_FLOW_CACHE = 2
 
 
 class ConvergenceError(RuntimeError):
@@ -62,12 +84,14 @@ def initial_state(ham: Hamiltonian) -> StateVector:
 class PropagationConfig:
     """Solver settings; times in a.u.
 
-    ``dt_max`` is the CF4 step where the coupling varies inside a drive
+    ``dt_max`` is the S6 step where the coupling varies inside a drive
     window (full-field and ramped windows), :func:`drive_step_bound`
-    (carrier/10 or t_pi/12.5) unless given.  It does not apply where the
-    coupling is constant (field-free stretches, square rotating-frame
-    windows): one exponential spans each sample interval there.
-    ``sample_dt`` is the observable output stride, T_total / 400 unless
+    (carrier/10, ramp/2 or t_pi/12.5) unless given.  It does not apply
+    where the coupling is constant (field-free stretches, square
+    rotating-frame windows): one exact flow spans each sample interval
+    there.  ``krylov_dim`` and ``residual_tol`` configure the Lanczos
+    exponentials of runs whose coupling is constant and of :func:`step`;
+    the S6 steps take no Krylov space.  ``sample_dt`` is the observable output stride, T_total / 400 unless
     given (cycle boundaries and window edges are always sampled as well).
     Snapshot times lie in [0, T_total].
     """
@@ -100,7 +124,7 @@ class PropagationConfig:
 
 
 def drive_step_bound(schedule: PulseSchedule) -> float:
-    """Default CF4 step inside windows where the coupling varies.
+    """Default S6 step inside windows where the coupling varies.
 
     Unbounded where it does not (``schedule.coupling_varies`` is false):
     there H is constant and one exponential is exact for any step.
@@ -111,6 +135,8 @@ def drive_step_bound(schedule: PulseSchedule) -> float:
     omega = abs(schedule.omega)  # the carrier period is 2 pi / |omega|
     if omega > 0:
         bound = min(bound, (2.0 * math.pi / omega) / CARRIER_STEP_FRACTION)
+    if schedule.ramp > 0:
+        bound = min(bound, schedule.ramp / RAMP_STEP_FRACTION)
     return bound
 
 
@@ -178,40 +204,12 @@ def _subspace_exp(alphas: np.ndarray, betas: np.ndarray, dt: float,
     return u, err
 
 
-def _midpoint(vec: np.ndarray, t: float, dt: float, ham: Hamiltonian,
-              schedule: PulseSchedule, krylov_dim: int, residual_tol: float
-              ) -> tuple[np.ndarray, float]:
-    """exp(-i H(t + dt/2) dt) vec, exact where the coupling is constant."""
-    g = coupling_at(schedule, t + 0.5 * dt)
-    out, err, _ = _lanczos_expv(ham, g, vec, dt, krylov_dim, residual_tol)
-    return out, err
-
-
-def _cf4(vec: np.ndarray, t: float, dt: float, ham: Hamiltonian,
-         schedule: PulseSchedule, krylov_dim: int, residual_tol: float
-         ) -> tuple[np.ndarray, float]:
-    """One CF4:2 step: exp(-i dt/2 H(g_b)) exp(-i dt/2 H(g_a)) vec.
-
-    With g_i = g(t + c_i dt) at the Gauss nodes, g_a = 2 (a2 g1 + a1 g2)
-    and g_b = 2 (a1 g1 + a2 g2).  The error bound is the sum of the two
-    residuals; each exponential gets half the budget, so the step fails
-    only where one of them cannot meet its half.
-    """
-    g1 = coupling_at(schedule, t + _C1 * dt)
-    g2 = coupling_at(schedule, t + _C2 * dt)
-    half = 0.5 * dt
-    tol = 0.5 * residual_tol
-    mid, err_a, _ = _lanczos_expv(ham, 2.0 * (_A2 * g1 + _A1 * g2), vec,
-                                  half, krylov_dim, tol)
-    out, err_b, _ = _lanczos_expv(ham, 2.0 * (_A1 * g1 + _A2 * g2), mid,
-                                  half, krylov_dim, tol)
-    return out, err_a + err_b
-
-
 def _step_array(vec: np.ndarray, t: float, dt: float, ham: Hamiltonian,
                 schedule: PulseSchedule, krylov_dim: int, residual_tol: float,
-                scheme=_midpoint, depth: int = 0) -> np.ndarray:
-    out, err = scheme(vec, t, dt, ham, schedule, krylov_dim, residual_tol)
+                depth: int = 0) -> np.ndarray:
+    """exp(-i H(t + dt/2) dt) vec, halved while the residual fails."""
+    g = coupling_at(schedule, t + 0.5 * dt)
+    out, err, _ = _lanczos_expv(ham, g, vec, dt, krylov_dim, residual_tol)
     if err < residual_tol:
         return out
     if depth >= MAX_HALVINGS:
@@ -221,9 +219,9 @@ def _step_array(vec: np.ndarray, t: float, dt: float, ham: Hamiltonian,
         )
     half = 0.5 * dt
     mid = _step_array(vec, t, half, ham, schedule, krylov_dim, residual_tol,
-                      scheme, depth + 1)
+                      depth + 1)
     return _step_array(mid, t + half, half, ham, schedule, krylov_dim,
-                       residual_tol, scheme, depth + 1)
+                       residual_tol, depth + 1)
 
 
 def step(psi: StateVector, t: float, dt: float, ham: Hamiltonian,
@@ -245,13 +243,9 @@ def step(psi: StateVector, t: float, dt: float, ham: Hamiltonian,
 def evolve_interval(vec: np.ndarray, t0: float, t1: float, ham: Hamiltonian,
                     schedule: PulseSchedule, dt_max: float,
                     krylov_dim: int = PropagationConfig.krylov_dim,
-                    residual_tol: float = PropagationConfig.residual_tol,
-                    scheme=_midpoint) -> np.ndarray:
-    """March [t0, t1) in uniform substeps no longer than dt_max.
-
-    Each substep is one ``scheme`` step: ``_cf4`` where the coupling
-    varies over the interval, ``_midpoint`` where it is constant.
-    """
+                    residual_tol: float = PropagationConfig.residual_tol
+                    ) -> np.ndarray:
+    """March [t0, t1) in uniform midpoint steps no longer than dt_max."""
     span = t1 - t0
     if span <= 0:
         return vec
@@ -259,8 +253,102 @@ def evolve_interval(vec: np.ndarray, t0: float, t1: float, ham: Hamiltonian,
     dt = span / n_sub
     for i in range(n_sub):
         vec = _step_array(vec, t0 + i * dt, dt, ham, schedule,
-                          krylov_dim, residual_tol, scheme)
+                          krylov_dim, residual_tol)
     return vec
+
+
+class _Split:
+    """The state in block eigencoordinates and the exact flows on it.
+
+    ``coeffs`` holds the eigencoordinates of the {|1>, S} block, then
+    those of the {|2>, P} block.  The phase vectors of the last two step
+    lengths are kept: most steps of a run have one length up to its last
+    bits.
+    """
+
+    def __init__(self, psi: StateVector, ham: Hamiltonian,
+                 schedule: PulseSchedule):
+        self.blocks = ham.eigensystems
+        eig_s, eig_p = self.blocks
+        data = psi.data
+        split = len(eig_s.lam)
+        self.coeffs = np.concatenate((
+            eig_s.coefficients(np.concatenate((data[:1], psi.b_s))),
+            eig_p.coefficients(np.concatenate((data[1:2], psi.b_p)))))
+        self.lam = np.concatenate((eig_s.lam, eig_p.lam))
+        self.c_s, self.c_p = self.coeffs[:split], self.coeffs[split:]
+        # the |1> and |2> rows of the block eigenvectors, complex so that
+        # products with the state stay in complex BLAS
+        self.q1 = eig_s.q0.astype(complex)
+        self.q2 = eig_p.q0.astype(complex)
+        self.schedule = schedule
+        self._flows: dict[float, tuple] = {}
+
+    def phase(self, tau: float) -> np.ndarray:
+        """exp(-i lam tau), the H0 flow over tau in eigencoordinates."""
+        return np.exp(-1j * tau * self.lam)
+
+    def flows(self, h: float):
+        """The S6 phase flows of a step of length h: (opening, the five
+        between the rotations, opening merged with the next step's)."""
+        cached = self._flows.pop(h, None)
+        if cached is None:
+            if len(self._flows) >= _FLOW_CACHE:  # drop the least recent
+                self._flows.pop(next(iter(self._flows)))
+            p2, p3, p4 = (self.phase(a * h) for a in (_A2, _A3, _A4))
+            cached = (self.phase(_A1 * h), (p2, p3, p4, p3, p2),
+                      self.phase(2.0 * _A1 * h))
+        self._flows[h] = cached  # most recently used last
+        return cached
+
+    def rotate(self, t: float, tau: float):
+        """exp(-i tau g (|2><1| + h.c.)) at g = g(t), on the bound amplitudes."""
+        g = coupling_at(self.schedule, t)
+        if g == 0.0:
+            return
+        a1 = complex(self.q1.dot(self.c_s))
+        a2 = complex(self.q2.dot(self.c_p))
+        mag = abs(g)
+        theta = mag * tau
+        cos_m1 = -2.0 * math.sin(0.5 * theta) ** 2  # cos(theta) - 1
+        w = -1j * math.sin(theta) / mag
+        self.c_s += self.q1 * (cos_m1 * a1 + w * g.conjugate() * a2)
+        self.c_p += self.q2 * (w * g * a1 + cos_m1 * a2)
+
+    def sites(self, batch: np.ndarray):
+        """Site amplitudes of each column of eigencoordinates in
+        ``batch``, which is overwritten with them block by block."""
+        eig_s, eig_p = self.blocks
+        split = len(eig_s.lam)
+        eig_s.sites(batch[:split], out=batch[:split])
+        eig_p.sites(batch[split:], out=batch[split:])
+        for j in range(batch.shape[1]):
+            yield np.concatenate((batch[:1, j], batch[split:split + 1, j],
+                                  batch[1:split, j], batch[split + 1:, j]))
+
+
+def _s6_step(split: _Split, t: float, h: float, inner, closing: np.ndarray):
+    """One S6 step over [t, t + h) whose opening flow has been applied;
+    ``inner`` holds the five phase vectors between the rotations, and
+    ``closing`` the last flow (merged with the next step's opening)."""
+    coeffs = split.coeffs
+    split.rotate(t + _S6_NODES[0] * h, _S6_WEIGHTS[0] * h)
+    for flow, node, weight in zip(inner, _S6_NODES[1:], _S6_WEIGHTS[1:]):
+        np.multiply(coeffs, flow, out=coeffs)
+        split.rotate(t + node * h, weight * h)
+    np.multiply(coeffs, closing, out=coeffs)
+
+
+def _s6_interval(split: _Split, t0: float, t1: float, h_max: float):
+    """March [t0, t1) in uniform S6 steps no longer than h_max."""
+    t0, t1 = float(t0), float(t1)  # numpy scalars slow the node arithmetic
+    n_steps = max(1, math.ceil((t1 - t0) / h_max - 1e-12))
+    h = (t1 - t0) / n_steps
+    opening, inner, merged = split.flows(h)
+    np.multiply(split.coeffs, opening, out=split.coeffs)
+    for i in range(n_steps):
+        _s6_step(split, t0 + i * h, h, inner,
+                 merged if i < n_steps - 1 else opening)
 
 
 def sample_times(schedule: PulseSchedule, config: PropagationConfig) -> np.ndarray:
@@ -287,8 +375,9 @@ def propagate(psi0: StateVector, ham: Hamiltonian, schedule: PulseSchedule,
               config: PropagationConfig, grids=None) -> ObservableTrace:
     """Propagate and record populations and snapshot states.
 
-    Inside windows where the coupling varies, CF4 steps of at most dt_max
-    (default :func:`drive_step_bound`); elsewhere one exponential per sample.
+    Where the coupling varies, S6 steps of at most dt_max (default
+    :func:`drive_step_bound`) inside windows and one phase flow per sample
+    elsewhere; where it is constant, one Lanczos exponential per sample.
     Every pulse edge is a step boundary; observables are recorded at the
     configured stride and additionally at every cycle boundary.  The
     complex state, from which spectra and entanglement measures follow,
@@ -299,9 +388,6 @@ def propagate(psi0: StateVector, ham: Hamiltonian, schedule: PulseSchedule,
     """
     times = sample_times(schedule, config)
     n_samples = len(times)
-    varies = schedule.coupling_varies
-    window_dt = config.dt_max or drive_step_bound(schedule)
-    solver = (config.krylov_dim, config.residual_tol)
 
     tol = 1e-9 * max(config.T_total, 1.0)
     cycle_flags = _near(times, schedule.cycle_boundaries, tol)
@@ -312,22 +398,26 @@ def propagate(psi0: StateVector, ham: Hamiltonian, schedule: PulseSchedule,
     p1 = np.empty(n_samples)
     p2 = np.empty(n_samples)
     states: list[StateVector] = []
-
-    vec = psi0.data.copy()
     n_s = psi0.n_s
-    for i, t in enumerate(times):
-        if i:
-            t0 = times[i - 1]
-            if varies and envelope_at(schedule, 0.5 * (t0 + t)) > 0.0:
-                vec = evolve_interval(vec, t0, t, ham, schedule, window_dt,
-                                      *solver, _cf4)
-            else:  # H is constant over the interval
-                vec = evolve_interval(vec, t0, t, ham, schedule, t - t0,
-                                      *solver)
+
+    def record(i: int, vec: np.ndarray):
+        t = times[i]
         n_c[i], _, p1[i], p2[i], _ = orbital_populations(
             StateVector(vec, n_s, t))
         if snapshot[i]:
             states.append(StateVector(vec.copy(), n_s, t))
+
+    if schedule.coupling_varies:
+        _propagate_split(psi0, ham, schedule, times,
+                         config.dt_max or drive_step_bound(schedule), record)
+    else:
+        vec = psi0.data.copy()
+        for i, t in enumerate(times):
+            if i:  # H is constant over the interval
+                vec = evolve_interval(vec, times[i - 1], t, ham, schedule,
+                                      t - times[i - 1], config.krylov_dim,
+                                      config.residual_tol)
+            record(i, vec)
 
     axes = {}
     if grids is not None:
@@ -336,6 +426,34 @@ def propagate(psi0: StateVector, ham: Hamiltonian, schedule: PulseSchedule,
                     energies_p=grid_p.energies, d_eps_p=grid_p.d_eps)
     return ObservableTrace(times=times, n_c=n_c, P1=p1, P2=p2,
                            cycle_flags=cycle_flags, states=states, **axes)
+
+
+def _propagate_split(psi0: StateVector, ham: Hamiltonian,
+                     schedule: PulseSchedule, times: np.ndarray,
+                     window_dt: float, record):
+    """The sample loop of :func:`propagate` in block eigencoordinates.
+
+    The first sample is the initial state itself.  Later samples keep
+    their eigencoordinates in a batch, whose site amplitudes are computed
+    together and recorded in order.
+    """
+    split = _Split(psi0, ham, schedule)
+    size = max(1, _SAMPLE_BATCH_BYTES // split.coeffs.nbytes)
+    batch = np.empty((len(split.coeffs), size), dtype=complex)
+    pending: list[int] = []
+    record(0, psi0.data)
+    for i in range(1, len(times)):
+        t0, t = times[i - 1], times[i]
+        if envelope_at(schedule, 0.5 * (t0 + t)) > 0.0:
+            _s6_interval(split, t0, t, window_dt)
+        else:
+            np.multiply(split.coeffs, split.phase(t - t0), out=split.coeffs)
+        batch[:, len(pending)] = split.coeffs
+        pending.append(i)
+        if len(pending) == size or i == len(times) - 1:
+            for j, vec in zip(pending, split.sites(batch[:, :len(pending)])):
+                record(j, vec)
+            pending.clear()
 
 
 def pi_pulse_transfer_check(

@@ -2,7 +2,8 @@
 imports between modules point one way, and importing the package leaves
 scipy.linalg unloaded.  scipy.sparse loads inside
 ``Hamiltonian.static_csr``, with the first product, so importing the
-package and ``validate`` leave it unloaded too."""
+package, ``validate`` and a run whose coupling varies (which takes no
+product) leave it unloaded too."""
 import ast
 import graphlib
 import os
@@ -96,3 +97,12 @@ def test_import_and_validate_leave_scipy_sparse_unloaded():
     validate = ("import sys, zenoauger, zenoauger.cli; assert "
                 "zenoauger.cli.main(['validate', '--preset', 'li']) == 0")
     assert loaded_after(validate, "scipy.sparse") == "[]"
+
+
+def test_full_field_run_leaves_scipy_sparse_unloaded():
+    # the S6 steps of a full-field run multiply by no Hamiltonian
+    run = ("import sys, zenoauger; zenoauger.execute(zenoauger."
+           "preset_config('li', ['model.N=101', 'propagation.T_total=6 fs',"
+           " 'propagation.sample_stride=0.5 fs']))")
+    assert loaded_after(run, "scipy.sparse") == "[]"
+    assert loaded_after(run, "scipy.linalg") == "[]"

@@ -6,7 +6,7 @@ import scipy.sparse
 from scipy.optimize import curve_fit
 
 import zenoauger as za
-from zenoauger.model import density_of_states
+from zenoauger.model import arrowhead_eigensystem, density_of_states
 
 from conftest import random_state, small_system
 
@@ -166,6 +166,136 @@ class TestStaticCSR:
         for v in (np.zeros(n + 1, complex), np.zeros((n, 1), complex)):
             with pytest.raises(ValueError, match=f"length {n}"):
                 ham.static_csr.dot(v)
+
+
+def arrowhead_block(name):
+    """(alpha, d, z) of one test block of the arrowhead eigensystem tests."""
+    rng = np.random.default_rng(16)
+    d = np.sort(rng.normal(size=60))
+    z = 0.1 * rng.normal(size=60)
+    if name == "random":
+        return 0.3, d, z
+    if name == "clustered":  # poles 1e-9 and 1e-13 apart
+        d = np.sort(np.concatenate((rng.normal(size=20),
+                                    1.0 + 1e-9 * np.arange(20),
+                                    2.0 + 1e-13 * np.arange(10))))
+        return 1.0, d, 0.1 * rng.normal(size=50)
+    if name == "tiny":
+        z[::3] *= 1e-10
+        z[5], z[7] = 1e-14, 1e-17
+        return 0.3, d, z
+    if name == "zero":
+        z[::4] = 0.0
+        return 0.3, d, z
+    if name == "one pole":
+        return 0.3, d[:1], z[:1]
+    preset, block = name.split()
+    p = za.plan(za.preset_config(preset))
+    ham = za.assemble(p.levels, p.grid_s, p.grid_p)
+    if block == "S":
+        return ham.diag[0], ham.diag[ham.s_block], ham.m_s
+    return ham.diag[1], ham.diag[ham.p_block], ham.m_p
+
+
+def formula_eigenvectors(eig):
+    """Q written out column by column from (q0, origin, mu): q0_j times
+    (1, z_k/((d_origin - d_k) + mu_j)), or e_k for an uncoupled pole."""
+    n = len(eig.d)
+    q = np.zeros((n + 1, n + 1))
+    for j in range(n + 1):
+        if eig.q0[j] == 0.0:
+            q[1 + eig.origin[j], j] = 1.0
+            continue
+        q[0, j] = eig.q0[j]
+        coupled = eig.z != 0.0
+        gaps = (eig.d[eig.origin[j]] - eig.d[coupled]) + eig.mu[j]
+        q[1 + np.flatnonzero(coupled), j] = eig.q0[j] * eig.z[coupled] / gaps
+    return q
+
+
+def dense_block(alpha, d, z):
+    n = len(d)
+    h = np.zeros((n + 1, n + 1))
+    h[0, 0] = alpha
+    h[0, 1:] = h[1:, 0] = z
+    h[np.arange(1, n + 1), np.arange(1, n + 1)] = d
+    return h
+
+
+class TestArrowheadEigensystem:
+    """The secular-equation eigensystem against numpy.linalg.eigh, and
+    its Cauchy transforms against dense eigenvector matrices."""
+
+    BLOCKS = ["random", "clustered", "tiny", "zero", "one pole", "li S",
+              "li P", "fig4 S", "li_plus P"]
+
+    @pytest.mark.parametrize("name", BLOCKS)
+    def test_matches_dense_eigensolver(self, name):
+        alpha, d, z = arrowhead_block(name)
+        eig = arrowhead_eigensystem(alpha, d, z)
+        h = dense_block(alpha, d, z)
+        evals, evecs = np.linalg.eigh(h)
+        order = np.argsort(eig.lam, kind="stable")
+        scale = max(1.0, np.max(np.abs(evals)))
+        assert np.max(np.abs(eig.lam[order] - evals)) < 4e-15 * scale
+        assert np.max(np.abs(eig.q0[order] - np.abs(evecs[0]))) < 1e-11
+        assert np.all(eig.q0 >= 0.0)
+        q = formula_eigenvectors(eig)
+        identity = np.eye(len(h))
+        assert np.max(np.abs(q.T @ q - identity)) < 1e-13
+        assert np.max(np.abs(q @ np.diag(eig.lam) @ q.T - h)) < 1e-14 * scale
+
+    @pytest.mark.parametrize("name", ["random", "zero", "li S", "li_plus P"])
+    def test_transforms_match_dense_eigenvectors(self, name):
+        # eigh's eigenvectors, signed as the formula signs them: q0 > 0,
+        # or +1 on the pole of an uncoupled one
+        alpha, d, z = arrowhead_block(name)
+        eig = arrowhead_eigensystem(alpha, d, z)
+        evals, evecs = np.linalg.eigh(dense_block(alpha, d, z))
+        q = evecs[:, np.argsort(np.argsort(eig.lam, kind="stable"))]
+        lead = np.where(eig.q0 > 0.0, 0, 1 + eig.origin)
+        q *= np.sign(q[lead, np.arange(len(lead))])
+        rng = np.random.default_rng(3)
+        c = rng.normal(size=(len(d) + 1, 5)) + 1j * rng.normal(
+            size=(len(d) + 1, 5))
+        c /= np.linalg.norm(c, axis=0)  # unit states
+        assert np.max(np.abs(eig.sites(c) - q @ c)) < 1e-12
+        assert np.max(np.abs(eig.coefficients(c) - q.T @ c)) < 1e-12
+        assert np.max(np.abs(eig.sites(c[:, 0]) - q @ c[:, 0])) < 1e-12
+        assert np.array_equal(eig.sites(np.asfortranarray(c)), eig.sites(c))
+        assert np.max(np.abs(eig.coefficients(eig.sites(c)) - c)) < 1e-12
+        out = c.copy()
+        assert eig.sites(out, out=out) is out
+        assert np.array_equal(out, eig.sites(c))
+
+    def test_uncoupled_block_is_the_identity(self):
+        # tau2 = inf: the P block of fig3_circles has no coupling
+        alpha, d, z = arrowhead_block("fig3_circles P")
+        assert not np.any(z)
+        eig = arrowhead_eigensystem(alpha, d, z)
+        assert np.array_equal(eig.lam, np.concatenate(([alpha], d)))
+        assert np.array_equal(eig.q0, np.eye(len(d) + 1)[0])
+        c = np.random.default_rng(4).normal(size=(len(d) + 1, 2)) + 0j
+        assert np.array_equal(eig.sites(c), c)
+        assert np.array_equal(eig.coefficients(c), c)
+
+    def test_block_without_continuum_is_one_by_one(self):
+        eig = arrowhead_eigensystem(0.7, np.zeros(0), np.zeros(0))
+        assert eig.lam.tolist() == [0.7] and eig.q0.tolist() == [1.0]
+        assert eig.sites(np.array([0.5 - 2j])).tolist() == [0.5 - 2j]
+
+    def test_hamiltonian_caches_its_two_blocks(self):
+        _, _, _, ham = small_system(n_points=31)
+        eig_s, eig_p = ham.eigensystems
+        assert ham.eigensystems[0] is eig_s
+        assert eig_s.lam[0] < ham.diag[0] < eig_s.lam[-1]
+        assert np.array_equal(eig_p.d, ham.diag[ham.p_block])
+
+    def test_refuses_unordered_poles(self):
+        with pytest.raises(ValueError, match="increase strictly"):
+            arrowhead_eigensystem(0.0, [1.0, 1.0], [0.1, 0.1])
+        with pytest.raises(ValueError, match="shapes"):
+            arrowhead_eigensystem(0.0, [1.0, 2.0], [0.1])
 
 
 class TestRotatingFrame:

@@ -18,6 +18,38 @@ def make_schedule(T, mode="pulsed", Omega_ev=1.0, omega_ev=10.0, t_m_fs=0.32,
                           za.fs_to_au(t_m_fs), 0.0, mode, T, **kwargs)
 
 
+def dense_expv(h, dt, vec):
+    """exp(-i dt h) vec for a dense Hermitian h, by its full eigensystem."""
+    lam, q = np.linalg.eigh(h.astype(complex))
+    return q @ (np.exp(-1j * dt * lam) * (q.conj().T @ vec))
+
+
+def dense_cf4_product(ham, vec, times, sched, coupling, dt_max):
+    """vec carried over the sample times by dense exponentials: inside a
+    window, two-stage Gauss CF4:2 steps of at most dt_max with g from
+    ``coupling(t)``; outside, one exact field-free exponential per
+    interval.  It shares no code with the propagator."""
+    root3_6 = math.sqrt(3.0) / 6.0
+    h0, v = ham.dense(0.0), ham.dense(1.0) - ham.dense(0.0)
+    for t0, t1 in zip(times[:-1], times[1:]):
+        mid = 0.5 * (t0 + t1)
+        if not np.any((sched.windows[:, 0] <= mid)
+                      & (mid < sched.windows[:, 1])):
+            vec = dense_expv(h0, t1 - t0, vec)
+            continue
+        n = math.ceil((t1 - t0) / dt_max)
+        dt = (t1 - t0) / n
+        for j in range(n):
+            t = t0 + j * dt
+            g1 = coupling(t + (0.5 - root3_6) * dt)
+            g2 = coupling(t + (0.5 + root3_6) * dt)
+            g_a = 2 * ((0.25 + root3_6) * g1 + (0.25 - root3_6) * g2)
+            g_b = 2 * ((0.25 - root3_6) * g1 + (0.25 + root3_6) * g2)
+            vec = dense_expv(h0 + g_a * v, 0.5 * dt, vec)
+            vec = dense_expv(h0 + g_b * v, 0.5 * dt, vec)
+    return vec
+
+
 class TestStep:
     def test_vanishing_step_is_identity(self):
         _, _, _, ham = small_system(n_points=31)
@@ -195,7 +227,7 @@ class TestPropagate:
             assert np.array_equal(spectrum.A_p, abs(psi.b_p) ** 2)
 
     def test_step_halving_converges_final_populations(self):
-        # full-field drive; at 640 carrier samples the fourth-order CF4
+        # full-field drive; at 640 carrier samples the fourth-order S6
         # scheme is deep in its asymptotic regime
         dt0 = 0.05342943283595029
         base = ["propagation.T_total=5 fs", "model.N=201",
@@ -231,9 +263,10 @@ class TestPropagate:
 
     @staticmethod
     def count_calls(monkeypatch, mode, overrides=()):
-        """(coupling_at calls, Lanczos exponentials, trace) of an li run."""
-        calls = {"coupling": 0, "expv": 0}
-        expv = prop._lanczos_expv
+        """(coupling_at calls, Lanczos exponentials, S6 steps, trace) of an
+        li run."""
+        calls = {"coupling": 0, "expv": 0, "s6": 0}
+        expv, s6 = prop._lanczos_expv, prop._s6_step
 
         def counting_coupling(schedule, t):
             calls["coupling"] += 1
@@ -243,108 +276,112 @@ class TestPropagate:
             calls["expv"] += 1
             return expv(*args)
 
+        def counting_s6(*args):
+            calls["s6"] += 1
+            return s6(*args)
+
         monkeypatch.setattr(prop, "coupling_at", counting_coupling)
         monkeypatch.setattr(prop, "_lanczos_expv", counting_expv)
+        monkeypatch.setattr(prop, "_s6_step", counting_s6)
         cfg = za.preset_config("li", overrides=[
             f"drive.mode={mode}", "propagation.T_total=20 fs", "model.N=201",
             *overrides])
         trace = za.execute(cfg).trace
-        return calls["coupling"], calls["expv"], trace
+        return calls["coupling"], calls["expv"], calls["s6"], trace
 
     def test_square_rwa_run_takes_one_exponential_per_sample(self, monkeypatch):
         # H is constant in a square rotating-frame window: dt_max does not
-        # apply there
+        # apply there, and the run stays on the Krylov path
         for overrides in ([], ["propagation.dt_max=3 au"]):
             with monkeypatch.context() as patch:
-                couplings, exponentials, trace = self.count_calls(
+                couplings, exponentials, steps, trace = self.count_calls(
                     patch, "rwa_pulsed", overrides)
             assert couplings == exponentials == len(trace.times) - 1
+            assert steps == 0
 
     def test_dt_max_replaces_the_drive_step_bound(self, monkeypatch):
-        # a dt_max above the built-in bound sets the CF4 step; it does not
+        # a dt_max above the built-in bound sets the S6 step; it does not
         # merely cap it
         base = ["propagation.T_total=20 fs", "model.N=201"]
         bound = prop.drive_step_bound(
             za.config.plan(za.preset_config("li", overrides=base)).schedule)
-        cf4 = prop._cf4
-        calls = []
+        s6 = prop._s6_step
+        lengths = []
 
-        def counting(*args):
-            calls.append(args[2])
-            return cf4(*args)
+        def counting(split, t, h, *rest):
+            lengths.append(h)
+            return s6(split, t, h, *rest)
 
-        monkeypatch.setattr(prop, "_cf4", counting)
+        monkeypatch.setattr(prop, "_s6_step", counting)
 
-        def cf4_steps(overrides):
-            calls.clear()
+        def s6_steps(overrides):
+            lengths.clear()
             za.execute(za.preset_config("li", overrides=base + overrides))
-            return len(calls), max(calls)
+            return len(lengths), max(lengths)
 
-        default, coarse = cf4_steps([]), cf4_steps(
+        default, coarse = s6_steps([]), s6_steps(
             [f"propagation.dt_max={2 * bound!r} au"])
         assert default[1] <= bound < coarse[1] <= 2 * bound
-        assert coarse[0] < default[0]
+        assert 0 < coarse[0] < default[0]
 
     def test_full_field_run_takes_one_coupling_call_per_exponential(
             self, monkeypatch):
-        # a CF4 step reads the coupling at its two Gauss nodes and takes
-        # one exponential at each combination of the two
-        couplings, exponentials, _ = self.count_calls(monkeypatch, "pulsed")
-        assert couplings == exponentials
+        # an S6 step reads the coupling once for each of its six rotations,
+        # and a full-field run reads it nowhere else; it takes no Lanczos
+        # exponential
+        couplings, exponentials, steps, _ = self.count_calls(monkeypatch,
+                                                             "pulsed")
+        assert steps > 0
+        assert couplings == 6 * steps
+        assert exponentials == 0
 
     def test_full_field_run_discards_no_cf4_step(self, monkeypatch):
-        # each exponential of a CF4 step gets half the residual budget, so
-        # two converged exponentials never add up to a failed step
-        cf4 = prop._cf4
-        failed = []
-
-        def checking(vec, t, dt, ham, schedule, krylov_dim, residual_tol):
-            out, err = cf4(vec, t, dt, ham, schedule, krylov_dim,
-                           residual_tol)
-            failed.append(err >= residual_tol)
-            return out, err
-
-        monkeypatch.setattr(prop, "_cf4", checking)
-        za.execute(za.preset_config("li", overrides=[
-            "propagation.T_total=20 fs", "model.N=201"]))
-        assert failed and not any(failed)
+        # no step is tried and redone: the run takes exactly the
+        # ceil(span / bound) uniform steps of each sample interval inside a
+        # window, counted here from the trace's sample times
+        _, exponentials, steps, trace = self.count_calls(monkeypatch,
+                                                         "pulsed")
+        sched = za.config.plan(za.preset_config("li", overrides=[
+            "propagation.T_total=20 fs", "model.N=201"])).schedule
+        bound = prop.drive_step_bound(sched)
+        expected = 0
+        for t0, t1 in zip(trace.times[:-1], trace.times[1:]):
+            mid = 0.5 * (t0 + t1)
+            if np.any((sched.windows[:, 0] <= mid)
+                      & (mid < sched.windows[:, 1])):
+                expected += math.ceil((t1 - t0) / bound - 1e-12)
+        assert exponentials == 0
+        assert steps == expected > 0
+        assert trace.norm_error() < 1e-12
 
     def test_full_field_pulses_fourth_order_against_dense_products(self):
-        # dimension 40, resonant carrier; the oracle takes dense expm
-        # midpoint products at 1/256 of the coarse step, with g(t) written
-        # out from the window list.  dt_max sets the CF4 step; halving it
-        # must cut the error of the final state about 16-fold (the
-        # midpoint rule gives 4).
+        # dimension 40, resonant carrier, strong drive; the oracle takes
+        # dense products of the two-stage Gauss scheme CF4:2 at 1/64
+        # of the coarse step h, with g(t) written out from the window list.
+        # dt_max sets the S6 step; each halving of it must cut the error of
+        # the final state about 16-fold.  Pulses, gaps and samples are
+        # whole multiples of h, so that every halving halves every step.
         levels, _, _, ham = small_system(n_points=19)
-        Omega = za.ev_to_au(4.0)
         omega = levels.E2 - levels.E1
-        T = za.fs_to_au(3.0)
-        sched = build_schedule(Omega, omega, 0.0, za.fs_to_au(0.4),
-                               za.fs_to_au(0.3), "pulsed", T)
-        assert len(sched.windows) >= 3
         h = (2 * math.pi / omega) / 10
+        Omega = math.pi / (12 * h)  # 4.2 eV, pulses of 12 h
+        T = 72 * h  # two cycles of pulse, 8 h, pulse, 4 h
+        sched = build_schedule(Omega, omega, 0.0, 8 * h, 4 * h, "pulsed", T)
+        assert len(sched.windows) == 4
 
         def run(dt_max):
-            cfg = prop.PropagationConfig(T_total=T, sample_dt=T / 25,
-                                         dt_max=dt_max, residual_tol=1e-13)
+            cfg = prop.PropagationConfig(T_total=T, sample_dt=4 * h,
+                                         dt_max=dt_max)
             return prop.propagate(prop.initial_state(ham), ham, sched, cfg)
 
-        coarse, fine = run(h), run(h / 2)
-        h0, v = ham.dense(0.0), ham.dense(1.0) - ham.dense(0.0)
-        vec = prop.initial_state(ham).data
-        for t0, t1 in zip(coarse.times[:-1], coarse.times[1:]):
-            mid = 0.5 * (t0 + t1)
-            inside = np.any((sched.windows[:, 0] <= mid)
-                            & (mid < sched.windows[:, 1]))
-            n = math.ceil((t1 - t0) / (h / 256)) if inside else 1
-            dt = (t1 - t0) / n
-            for j in range(n):
-                t = t0 + (j + 0.5) * dt
-                g = Omega * math.sin(omega * t) if inside else 0.0
-                vec = scipy.linalg.expm(-1j * dt * (h0 + g * v)) @ vec
+        traces = [run(h / 2**k) for k in range(4)]
+        vec = dense_cf4_product(
+            ham, prop.initial_state(ham).data, traces[0].times, sched,
+            lambda t: Omega * math.sin(omega * t), h / 64)
         errors = [np.max(np.abs(trace.final_state.data - vec))
-                  for trace in (coarse, fine)]
-        assert 12.0 <= errors[0] / errors[1] <= 20.0
+                  for trace in traces]
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 12.0 <= coarse / fine <= 20.0
 
     def test_rwa_pulse_train_matches_dense_products(self):
         # dimension 40; the oracle steps the same piecewise-constant H with
@@ -442,10 +479,98 @@ class TestDriveStepBound:
             assert np.array_equal(getattr(minus, name), getattr(plus, name))
 
     def test_ramped_rwa_keeps_pulse_and_carrier_bound(self):
+        # and adds the ramp bound, which binds for this 2 au ramp
         sched = make_schedule(1000.0, mode="rwa_pulsed", envelope="cosine_ramp",
                               ramp=2.0)
         assert sched.coupling_varies
         carrier = 2 * math.pi / za.ev_to_au(10.0)
         assert prop.drive_step_bound(sched) == min(
             sched.t_pi / prop.PULSE_STEP_FRACTION,
-            carrier / prop.CARRIER_STEP_FRACTION)
+            carrier / prop.CARRIER_STEP_FRACTION,
+            2.0 / prop.RAMP_STEP_FRACTION) == 2.0 / prop.RAMP_STEP_FRACTION
+
+    def test_short_ramp_sets_the_step(self):
+        # li, rotating frame, 0.1 fs cosine ramps: carrier/10 alone left
+        # tau_eff 6.8e-5 (relative) off the run at carrier/160
+        base = ["model.N=201", "propagation.T_total=30 fs",
+                "drive.mode=rwa_pulsed", "drive.envelope=cosine_ramp",
+                "drive.ramp=0.1 fs"]
+        carrier = 2 * math.pi / za.ev_to_au(2.5)
+
+        def tau(overrides):
+            cfg = za.preset_config("li", overrides=base + overrides)
+            return za.execute(cfg).fit.tau_eff
+
+        default = tau([])
+        fine = tau([f"propagation.dt_max={carrier / 160!r} au"])
+        assert abs(default - fine) <= 2e-5 * fine
+
+
+class TestSplitOracles:
+    """Runs whose coupling varies, against dense products and against the
+    Krylov CF4 stepper that propagated them before the split."""
+
+    def test_continuous_drive_fourth_order_against_dense_products(self):
+        # dimension 64, resonant continuous carrier: each halving of the
+        # S6 step cuts the error of the final state 16-fold.  Samples lie
+        # four coarse steps apart, so that every halving halves every step.
+        levels, _, _, ham = small_system(n_points=31)
+        Omega, omega = za.ev_to_au(2.0), levels.E2 - levels.E1
+        h = (2 * math.pi / omega) / 10
+        T = 40 * h
+        sched = build_schedule(Omega, omega, 0.0, 0.0, 0.0, "continuous", T)
+
+        def run(dt_max):
+            cfg = prop.PropagationConfig(T_total=T, sample_dt=4 * h,
+                                         dt_max=dt_max)
+            return prop.propagate(prop.initial_state(ham), ham, sched, cfg)
+
+        traces = [run(h / 2**k) for k in range(3)]
+        vec = dense_cf4_product(
+            ham, prop.initial_state(ham).data, traces[0].times, sched,
+            lambda t: Omega * math.sin(omega * t), h / 64)
+        errors = [np.max(np.abs(trace.final_state.data - vec))
+                  for trace in traces]
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 14.0 <= coarse / fine <= 18.0
+
+    def test_li_matches_krylov_cf4_at_carrier_over_40(self, li_point_a):
+        # the li preset under Krylov CF4 steps of carrier/40, the stepper
+        # of full-field runs before the split: tau_eff in fs, then P1, P2
+        # and n_c at four samples
+        krylov_tau = 32.70582740264287
+        krylov = {100: (0.13145586381453914, 0.3837441211829595,
+                        0.4848000150024483),
+                  200: (0.03206052619531816, 0.19258755775840178,
+                        0.7753519160462312),
+                  400: (0.02283270068907002, 0.035105431437245954,
+                        0.9420618678736467),
+                  421: (0.04043005527560976, 0.006156781225234245,
+                        0.9534131634991155)}
+        trace = li_point_a.trace
+        assert len(trace.times) == 422
+        tau = za.au_to_fs(li_point_a.fit.tau_eff)
+        assert abs(tau - krylov_tau) < 1e-6 * krylov_tau
+        for i, want in krylov.items():
+            got = (trace.P1[i], trace.P2[i], trace.n_c[i])
+            assert np.max(np.abs(np.subtract(got, want))) < 1e-6
+
+    def test_full_field_two_level_pulse_against_dense_products(self):
+        # criterion 10's full-field run: no continuum, so both blocks are
+        # 1 x 1, and one pi pulse at Omega/omega = 0.01
+        Omega, omega = za.ev_to_au(0.1), za.ev_to_au(10.0)
+        ham = za.Hamiltonian(diag=np.array([0.0, omega]), m_s=np.zeros(0),
+                             m_p=np.zeros(0))
+        sched = build_schedule(Omega, omega, 0.0, 0.0, 0.0, "pulsed",
+                               math.pi / Omega)
+        cfg = prop.PropagationConfig(T_total=sched.t_pi)
+        trace = prop.propagate(prop.initial_state(ham), ham, sched, cfg)
+        vec = dense_cf4_product(
+            ham, prop.initial_state(ham).data, trace.times, sched,
+            lambda t: Omega * math.sin(omega * t),
+            prop.drive_step_bound(sched) / 16)
+        # S6 at carrier/10 reads 4.3e-8 off here
+        assert np.max(np.abs(trace.final_state.data - vec)) < 1e-7
+        assert trace.P2[-1] == za.pi_pulse_transfer_check(
+            Omega, omega, 0.0, mode="pulsed")
+        assert abs(trace.P2[-1] - 1.0) < 1e-3

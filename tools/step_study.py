@@ -2,21 +2,25 @@
 
     PYTHONPATH=src python3 tools/step_study.py [--long]
 
-The first table holds runs whose step is set by the carrier bound.  For
-each it prints tau_eff at the built-in step bound ("default"), then with
+In full-field and ramped windows (where the coupling varies) a run takes
+S6 steps of ``propagation.dt_max``, or of the built-in bound when it is
+not given: the shortest of carrier/10, ramp/2 and t_pi/12.5.  The first
+table holds runs whose step is set by the carrier bound.  For each it
+prints tau_eff at the built-in step bound ("default"), then with
 ``propagation.dt_max`` set to 1/40, 1/20, 1/10 and 1/6 of the carrier
 period.  The second table holds strong-drive runs (Omega > 0.4 omega),
 whose step is set by the pulse bound, with ``dt_max`` at 1/50, 1/25,
-1/12.5 and 1/8 of the pi-pulse time t_pi = pi/Omega.  In full-field and
-ramped windows ``dt_max`` replaces the built-in bound as the step.
+1/12.5 and 1/8 of the pi-pulse time t_pi = pi/Omega.  The third holds
+runs with 0.1 fs cosine ramps, shorter than carrier/10 steps in full
+field, with ``dt_max`` at 1/8, 1/4, 1/2 and 1/1 of the ramp time.
 "order" is log2 of the ratio of successive differences over the first
 three fractions; "limit" extrapolates the first two values at that
 order, and "default - limit" is the step error the built-in bound leaves.
 Where two of those values agree, the sample stride, not dt_max, sets the
 step; the order then reads nan and the limit is the finest value.
 The last column is the worst norm error over the run's fractions.
-``--long`` adds the 450 fs fig3_circles point, which takes about a
-minute on one core.  The package is whichever ``zenoauger`` is first on
+``--long`` adds the 450 fs fig3_circles point, which takes about ten
+seconds on one core.  The package is whichever ``zenoauger`` is first on
 ``PYTHONPATH``, so the same study runs against any checkout.
 """
 import math
@@ -43,8 +47,15 @@ STRONG_RUNS = {
     "fig4 N=601 Omega=6 eV": ("fig4", ["model.N=601", "drive.Omega=6 eV"],
                               None),
 }
+RAMP = ["drive.envelope=cosine_ramp", "drive.ramp=0.1 fs"]
+RAMP_RUNS = {
+    "li rwa ramp 0.1 fs 30 fs": ("li", [T30, "drive.mode=rwa_pulsed", *RAMP],
+                                 None),
+    "li ramp 0.1 fs 30 fs": ("li", [T30, *RAMP], None),
+}
 CARRIER_FRACTIONS = (40, 20, 10, 6)
 PULSE_FRACTIONS = (50, 25, 12.5, 8)
+RAMP_FRACTIONS = (8, 4, 2, 1)
 
 
 def config(preset, overrides, omega2_ev2, extra=()):
@@ -65,6 +76,10 @@ def carrier_period(cfg):
 
 def pi_time(cfg):
     return math.pi / cfg.Omega
+
+
+def ramp_time(cfg):
+    return cfg.ramp
 
 
 def study(preset, overrides, omega2_ev2, period, fractions):
@@ -103,6 +118,8 @@ def main(argv):
     table("carrier (tau_eff in fs)", runs, carrier_period, CARRIER_FRACTIONS)
     print()
     table("t_pi (tau_eff in fs)", STRONG_RUNS, pi_time, PULSE_FRACTIONS)
+    print()
+    table("ramp (tau_eff in fs)", RAMP_RUNS, ramp_time, RAMP_FRACTIONS)
 
 
 if __name__ == "__main__":
