@@ -181,9 +181,13 @@ class CSRMatrix:
 
 # A coupling below this is zero: its square would be subnormal.
 _Z_FLOOR = math.sqrt(np.finfo(float).tiny)
-# Size of one float64 temporary of the secular solve and the Cauchy
-# transforms: they work on chunks of rows of an N x N matrix.
+# Size of one float64 temporary of the secular solve: it works on chunks
+# of rows of an N x N matrix.
 _CHUNK_BYTES = 1 << 17
+# Size of the chunk of rows of the Cauchy matrix in the Cauchy transforms:
+# 256 KB holds about 40 rows of an li block, enough for the product with
+# a sample batch to run near GEMM speed.
+_CAUCHY_CHUNK_BYTES = 1 << 18
 _SECULAR_ITERATIONS = 64
 _EPS = float(np.finfo(float).eps)
 
@@ -227,7 +231,7 @@ class ArrowheadEigensystem:
             return
         origin_d = self.d[self.origin[:n_roots]]
         mu = self.mu[:n_roots]
-        step = max(1, _CHUNK_BYTES // (8 * n_roots))
+        step = max(1, _CAUCHY_CHUNK_BYTES // (8 * n_roots))
         buffer = np.empty((min(step, len(rows)), n_roots))
         for start in range(0, len(rows), step):
             chunk = rows[start:start + step]

@@ -60,9 +60,13 @@ _B3 = 0.5 - (_B1 + _B2)
 _S6_WEIGHTS = (_B1, _B2, _B3, _B3, _B2, _B1)
 _S6_NODES = (_A1, _A1 + _A2, _A1 + _A2 + _A3, 1.0 - (_A1 + _A2 + _A3),
              1.0 - (_A1 + _A2), 1.0 - _A1)  # rotation times in the step
-# Eigencoordinates of this many bytes of samples are turned into site
-# amplitudes together, so that the Cauchy matrix is built once per batch.
-_SAMPLE_BATCH_BYTES = 3 << 17
+# Eigencoordinates of this many bytes of samples (40 li samples, 65
+# li_plus ones) are turned into site amplitudes together: the Cauchy
+# matrix is rebuilt once per batch.  Every batch, the last one included,
+# is transformed at this full width, because BLAS picks its kernel by
+# the shape and a narrow product changes a column's last bits; a
+# sample's bits then do not depend on how many samples follow it.
+_SAMPLE_BATCH_BYTES = 1 << 20
 # Phase flows kept for this many step lengths.  The sample intervals of a
 # window differ in their last bits, so its steps alternate between a few
 # floats; two entries cut the phase vectors li computes from 1271 to 356.
@@ -315,14 +319,15 @@ class _Split:
         self.c_s += self.q1 * (cos_m1 * a1 + w * g.conjugate() * a2)
         self.c_p += self.q2 * (w * g * a1 + cos_m1 * a2)
 
-    def sites(self, batch: np.ndarray):
-        """Site amplitudes of each column of eigencoordinates in
-        ``batch``, which is overwritten with them block by block."""
+    def sites(self, batch: np.ndarray, count: int):
+        """Site amplitudes of the first ``count`` columns of
+        eigencoordinates in ``batch``; every column is overwritten with
+        its site amplitudes block by block."""
         eig_s, eig_p = self.blocks
         split = len(eig_s.lam)
         eig_s.sites(batch[:split], out=batch[:split])
         eig_p.sites(batch[split:], out=batch[split:])
-        for j in range(batch.shape[1]):
+        for j in range(count):
             yield np.concatenate((batch[:1, j], batch[split:split + 1, j],
                                   batch[1:split, j], batch[split + 1:, j]))
 
@@ -434,12 +439,14 @@ def _propagate_split(psi0: StateVector, ham: Hamiltonian,
     """The sample loop of :func:`propagate` in block eigencoordinates.
 
     The first sample is the initial state itself.  Later samples keep
-    their eigencoordinates in a batch, whose site amplitudes are computed
-    together and recorded in order.
+    their eigencoordinates in a batch of fixed width, whose site
+    amplitudes are computed together and recorded in order.  A last,
+    partly filled batch is transformed at full width as well, its unused
+    columns holding the finite site amplitudes of the batch before.
     """
     split = _Split(psi0, ham, schedule)
     size = max(1, _SAMPLE_BATCH_BYTES // split.coeffs.nbytes)
-    batch = np.empty((len(split.coeffs), size), dtype=complex)
+    batch = np.zeros((len(split.coeffs), size), dtype=complex)
     pending: list[int] = []
     record(0, psi0.data)
     for i in range(1, len(times)):
@@ -451,7 +458,7 @@ def _propagate_split(psi0: StateVector, ham: Hamiltonian,
         batch[:, len(pending)] = split.coeffs
         pending.append(i)
         if len(pending) == size or i == len(times) - 1:
-            for j, vec in zip(pending, split.sites(batch[:, :len(pending)])):
+            for j, vec in zip(pending, split.sites(batch, len(pending))):
                 record(j, vec)
             pending.clear()
 

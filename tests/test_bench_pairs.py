@@ -1,0 +1,61 @@
+"""The summary and output parsing of tools/bench_pairs.py, on made-up
+runs: no benchmark runs here."""
+import json
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+import bench_pairs  # noqa: E402
+
+NAMES = ("wall_s", "wall_s_raw", "setup_s", "setup_s_raw", "peak_rss_mb")
+
+
+def side(wall, failed=0):
+    return {"wall_s": wall, "wall_s_raw": wall / 2, "setup_s": 0.2,
+            "setup_s_raw": 0.3, "peak_rss_mb": 60.0 + wall, "failed": failed}
+
+
+def test_summary_counts_the_pairs_the_change_wins():
+    pairs = [{"parent": side(p), "change": side(c, failed)}
+             for p, c, failed in ((1.0, 0.8, 0), (1.2, 0.9, 0), (1.1, 1.15, 1),
+                                  (1.3, 1.0, 0), (1.4, 1.1, 0))]
+    summary = bench_pairs.summarize(pairs, NAMES)
+    wall = summary["wall_s"]
+    assert wall["parent_q1_median_q3"] == [1.1, 1.2, 1.3]
+    assert wall["change_q1_median_q3"] == [0.9, 1.0, 1.1]
+    assert wall["change_lower_in_pairs"] == 4
+    # equal values are no win
+    assert summary["setup_s"]["change_lower_in_pairs"] == 0
+    assert summary["pairs"] == 5
+    assert summary["failed"] == {"parent": 0, "change": 1}
+
+
+def test_summary_of_one_pair():
+    summary = bench_pairs.summarize([{"parent": side(1.0),
+                                      "change": side(0.5)}], NAMES)
+    assert summary["wall_s"]["change_q1_median_q3"] == [0.5, 0.5, 0.5]
+
+
+def test_parse_run_reads_the_raw_lines_and_the_last_json():
+    last = {"correct": True, "attempted": 12, "failed": 0, "metrics": {
+        "wall_s": {"value": 1.23456, "unit": "s"},
+        "setup_s": {"value": 0.18, "unit": "s"},
+        "peak_rss_mb": {"value": 67.5, "unit": "MB"}}}
+    stdout = "\n".join([
+        "wall_s: median 1.2346 s at reference speed over 3 passes: 1 2 3",
+        "  raw wall per pass: 0.9000 1.0000 1.2000",
+        "setup_s: median 0.1800 s at reference speed over 3 fresh ...",
+        "  raw: 0.1700 0.2000 0.1600",
+        json.dumps(last)])
+    values = bench_pairs.parse_run(stdout, traced=False)
+    assert values == {"wall_s": 1.2346, "setup_s": 0.18, "peak_rss_mb": 67.5,
+                      "wall_s_raw": 1.0, "passes": 3, "setup_s_raw": 0.17,
+                      "attempted": 12, "failed": 0}
+
+
+def test_metrics_are_the_benchmarks_and_their_raw_times():
+    benchmark = json.loads((Path(bench_pairs.ROOT) / "BENCHMARK.json")
+                           .read_text())
+    units = bench_pairs.metrics(benchmark)
+    assert sorted(units) == sorted(NAMES)
+    assert units["wall_s_raw"] == units["wall_s"] + ", not scaled"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -260,6 +261,39 @@ class TestPropagate:
         for name in ("P1", "P2", "n_c"):
             assert np.max(np.abs(getattr(long, name)[shared]
                                  - getattr(short, name))) < 1e-12
+
+    def test_samples_do_not_depend_on_t_total(self):
+        # the back-transform runs every sample batch at one width, so a
+        # sample's bits do not depend on how many samples follow it: at
+        # T_total = 100 fs, 100 fs is the last sample of the run
+        def trace(t_total_fs):
+            return za.execute(za.preset_config("li", overrides=[
+                f"propagation.T_total={t_total_fs} fs",
+                "propagation.spectrum_snapshot_times=100 fs"])).trace
+
+        short, long = trace(100), trace(101)
+        shared = np.flatnonzero(np.isin(long.times, short.times))
+        assert np.array_equal(long.times[shared], short.times)
+        for name in ("n_c", "P1", "P2"):
+            assert np.array_equal(getattr(long, name)[shared],
+                                  getattr(short, name))
+        (state,) = short.states
+        (twin,) = [s for s in long.states if s.time_stamp == state.time_stamp]
+        assert np.array_equal(twin.data, state.data)
+
+    def test_li_run_holds_its_memory_budget(self):
+        # the sample batch (1 MB) and the scratch arrays of its
+        # back-transform are the largest allocations of a driven run
+        p = za.plan(za.preset_config("li"))
+        ham = za.assemble(p.levels, p.grid_s, p.grid_p)
+        tracemalloc.start()
+        try:
+            prop.propagate(prop.initial_state(ham), ham, p.schedule,
+                           p.propagation)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 2**20
 
     @staticmethod
     def count_calls(monkeypatch, mode, overrides=()):
