@@ -95,9 +95,9 @@ class PropagationConfig:
     rotating-frame windows): one exact flow spans each sample interval
     there.  ``krylov_dim`` and ``residual_tol`` configure the Lanczos
     exponentials of runs whose coupling is constant and of :func:`step`;
-    the S6 steps take no Krylov space.  ``sample_dt`` is the observable output stride, T_total / 400 unless
-    given (cycle boundaries and window edges are always sampled as well).
-    Snapshot times lie in [0, T_total].
+    the S6 steps take no Krylov space.  ``sample_dt`` is the observable
+    output stride, T_total / 400 unless given (cycle boundaries and window
+    edges are always sampled as well).  Snapshot times lie in [0, T_total].
     """
 
     T_total: float
@@ -245,20 +245,14 @@ def step(psi: StateVector, t: float, dt: float, ham: Hamiltonian,
 
 
 def evolve_interval(vec: np.ndarray, t0: float, t1: float, ham: Hamiltonian,
-                    schedule: PulseSchedule, dt_max: float,
+                    schedule: PulseSchedule, *,
                     krylov_dim: int = PropagationConfig.krylov_dim,
                     residual_tol: float = PropagationConfig.residual_tol
                     ) -> np.ndarray:
-    """March [t0, t1) in uniform midpoint steps no longer than dt_max."""
-    span = t1 - t0
-    if span <= 0:
-        return vec
-    n_sub = max(1, math.ceil(span / dt_max - 1e-12))
-    dt = span / n_sub
-    for i in range(n_sub):
-        vec = _step_array(vec, t0 + i * dt, dt, ham, schedule,
-                          krylov_dim, residual_tol)
-    return vec
+    """exp(-i H((t0 + t1)/2) (t1 - t0)) vec, halved while the residual
+    fails; exact for any span over which H is constant."""
+    return _step_array(vec, t0, t1 - t0, ham, schedule, krylov_dim,
+                       residual_tol)
 
 
 class _Split:
@@ -399,30 +393,20 @@ def propagate(psi0: StateVector, ham: Hamiltonian, schedule: PulseSchedule,
     snapshot = _near(times, config.snapshot_times, tol)
     snapshot[-1] = True
 
+    if schedule.coupling_varies:
+        vectors = _split_samples(psi0, ham, schedule, times,
+                                 config.dt_max or drive_step_bound(schedule))
+    else:
+        vectors = _krylov_samples(psi0, ham, schedule, times, config)
     n_c = np.empty(n_samples)
     p1 = np.empty(n_samples)
     p2 = np.empty(n_samples)
     states: list[StateVector] = []
-    n_s = psi0.n_s
-
-    def record(i: int, vec: np.ndarray):
-        t = times[i]
+    for i, (t, vec) in enumerate(zip(times, vectors, strict=True)):
         n_c[i], _, p1[i], p2[i], _ = orbital_populations(
-            StateVector(vec, n_s, t))
+            StateVector(vec, psi0.n_s, t))
         if snapshot[i]:
-            states.append(StateVector(vec.copy(), n_s, t))
-
-    if schedule.coupling_varies:
-        _propagate_split(psi0, ham, schedule, times,
-                         config.dt_max or drive_step_bound(schedule), record)
-    else:
-        vec = psi0.data.copy()
-        for i, t in enumerate(times):
-            if i:  # H is constant over the interval
-                vec = evolve_interval(vec, times[i - 1], t, ham, schedule,
-                                      t - times[i - 1], config.krylov_dim,
-                                      config.residual_tol)
-            record(i, vec)
+            states.append(StateVector(vec.copy(), psi0.n_s, t))
 
     axes = {}
     if grids is not None:
@@ -433,34 +417,45 @@ def propagate(psi0: StateVector, ham: Hamiltonian, schedule: PulseSchedule,
                            cycle_flags=cycle_flags, states=states, **axes)
 
 
-def _propagate_split(psi0: StateVector, ham: Hamiltonian,
-                     schedule: PulseSchedule, times: np.ndarray,
-                     window_dt: float, record):
-    """The sample loop of :func:`propagate` in block eigencoordinates.
+def _krylov_samples(psi0: StateVector, ham: Hamiltonian,
+                    schedule: PulseSchedule, times: np.ndarray,
+                    config: PropagationConfig):
+    """The state at each sample time: one Lanczos exponential per sample
+    interval, over which H is constant."""
+    vec = psi0.data
+    yield vec
+    for t0, t in zip(times[:-1], times[1:]):
+        vec = evolve_interval(vec, t0, t, ham, schedule,
+                              krylov_dim=config.krylov_dim,
+                              residual_tol=config.residual_tol)
+        yield vec
+
+
+def _split_samples(psi0: StateVector, ham: Hamiltonian,
+                   schedule: PulseSchedule, times: np.ndarray,
+                   window_dt: float):
+    """The state at each sample time, propagated in block eigencoordinates.
 
     The first sample is the initial state itself.  Later samples keep
     their eigencoordinates in a batch of fixed width, whose site
-    amplitudes are computed together and recorded in order.  A last,
+    amplitudes are computed together and yielded in order.  A last,
     partly filled batch is transformed at full width as well, its unused
     columns holding the finite site amplitudes of the batch before.
     """
     split = _Split(psi0, ham, schedule)
     size = max(1, _SAMPLE_BATCH_BYTES // split.coeffs.nbytes)
     batch = np.zeros((len(split.coeffs), size), dtype=complex)
-    pending: list[int] = []
-    record(0, psi0.data)
+    yield psi0.data
     for i in range(1, len(times)):
         t0, t = times[i - 1], times[i]
         if envelope_at(schedule, 0.5 * (t0 + t)) > 0.0:
             _s6_interval(split, t0, t, window_dt)
         else:
             np.multiply(split.coeffs, split.phase(t - t0), out=split.coeffs)
-        batch[:, len(pending)] = split.coeffs
-        pending.append(i)
-        if len(pending) == size or i == len(times) - 1:
-            for j, vec in zip(pending, split.sites(batch, len(pending))):
-                record(j, vec)
-            pending.clear()
+        filled = (i - 1) % size + 1
+        batch[:, filled - 1] = split.coeffs
+        if filled == size or i == len(times) - 1:
+            yield from split.sites(batch, filled)
 
 
 def pi_pulse_transfer_check(

@@ -233,7 +233,7 @@ class TestDriveInvariants:
         drift = 0.0
         for i in range(20):
             vec = evolve_interval(vec, i * 10.0, (i + 1) * 10.0, ham, sched,
-                                  10.0, krylov_dim=16, residual_tol=1e-13)
+                                  krylov_dim=16, residual_tol=1e-13)
             energy = np.vdot(vec, ham.apply(vec)).real
             drift = max(drift, abs(energy - e0) / abs(e0))
         assert drift < 1e-12

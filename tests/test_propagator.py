@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -78,8 +79,10 @@ class TestStep:
         vec = random_state(ham, 2)
         T = 400.0
         exact = scipy.linalg.expm(-1j * T * ham.dense(0.0)) @ vec
-        out = prop.evolve_interval(vec.copy(), 0.0, T, ham, sched, 25.0,
-                                   residual_tol=1e-12)
+        out = vec
+        for i in range(16):  # 16 intervals of 25 au
+            out = prop.evolve_interval(out, i * 25.0, (i + 1) * 25.0, ham,
+                                       sched, residual_tol=1e-12)
         assert np.max(np.abs(out - exact)) < 1e-9
 
     def test_stationary_state_only_rotates(self):
@@ -87,7 +90,10 @@ class TestStep:
         sched = build_schedule(0.0, 0.0, 0.0, 0.0, 0.0, "off", 500.0)
         evals, evecs = np.linalg.eigh(ham.dense(0.0))
         vec = evecs[:, 10].astype(complex)
-        out = prop.evolve_interval(vec.copy(), 0.0, 50.0, ham, sched, 10.0)
+        out = vec
+        for i in range(5):  # 5 intervals of 10 au
+            out = prop.evolve_interval(out, i * 10.0, (i + 1) * 10.0, ham,
+                                       sched)
         assert np.max(np.abs(np.abs(out) ** 2 - np.abs(vec) ** 2)) < 1e-13
 
     def test_norm_preserved_per_step(self):
@@ -280,6 +286,26 @@ class TestPropagate:
         (state,) = short.states
         (twin,) = [s for s in long.states if s.time_stamp == state.time_stamp]
         assert np.array_equal(twin.data, state.data)
+
+    @pytest.mark.parametrize("mode", ["pulsed", "rwa_pulsed"])
+    def test_snapshots_in_separate_batches_match_their_samples(self, mode):
+        # the split path (pulsed) yields the samples of a batch together,
+        # and the snapshots fall in three batches; on both paths each
+        # snapshot must be the state its sample's populations were read
+        # from, and own its memory
+        trace = za.execute(za.preset_config("li", overrides=[
+            f"drive.mode={mode}", "propagation.T_total=30 fs",
+            "propagation.spectrum_snapshot_times=5 fs, 12 fs, 25 fs"])).trace
+        width = prop._SAMPLE_BATCH_BYTES // trace.final_state.data.nbytes
+        indices = [int(np.flatnonzero(trace.times == psi.time_stamp)[0])
+                   for psi in trace.states]
+        assert len(indices) == 4  # 5, 12 and 25 fs, and the final sample
+        assert len({(i - 1) // width for i in indices[:3]}) == 3
+        for i, psi in zip(indices, trace.states):
+            n_c, _, p1, p2, _ = za.orbital_populations(psi)
+            assert (n_c, p1, p2) == (trace.n_c[i], trace.P1[i], trace.P2[i])
+        for a, b in itertools.combinations(trace.states, 2):
+            assert not np.shares_memory(a.data, b.data)
 
     def test_li_run_holds_its_memory_budget(self):
         # the sample batch (1 MB) and the scratch arrays of its

@@ -33,6 +33,7 @@ from zenoauger.entanglement import concurrence_matrix, write_concurrence
 
 RAMP = ["drive.envelope=cosine_ramp", "drive.ramp=0.5 fs"]
 T30 = "propagation.T_total=30 fs"
+SNAPSHOTS = "propagation.spectrum_snapshot_times=0 fs, 10 fs, 15 fs"
 N41 = "model.N=41"  # recurrence time within the 100 fs span: refused
 RUNS = {
     "li": ("li", []),
@@ -44,8 +45,9 @@ RUNS = {
     "li_continuous": ("li", [T30, "drive.mode=continuous"]),
     "li_rwa_continuous": ("li", [T30, "drive.mode=rwa_continuous"]),
     "li_ramp_reset_snapshots": ("li", [
-        T30, *RAMP, "drive.phase_reset=true",
-        "propagation.spectrum_snapshot_times=0 fs, 10 fs, 15 fs"]),
+        T30, *RAMP, "drive.phase_reset=true", SNAPSHOTS]),
+    "li_off_snapshots": ("li", [T30, "drive.mode=off", SNAPSHOTS]),
+    "li_rwa_snapshots": ("li", [T30, "drive.mode=rwa_pulsed", SNAPSHOTS]),
     "li_ramp_clipped": ("li", ["propagation.T_total=20 fs", *RAMP]),
     "li_square_ramp": ("li", [T30, "drive.ramp=0.5 fs"]),
     "li_rwa_ramp": ("li", [T30, *RAMP, "drive.mode=rwa_pulsed"]),
