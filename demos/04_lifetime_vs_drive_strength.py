@@ -15,11 +15,11 @@ cfg = za.preset_config("fig3_circles", overrides=[
 ])
 
 values_ev2 = [0.0, 1.0, 3.0, 7.0, 10.0]
-rows = za.zeno_phase_scan(cfg, "Omega2",
-                          [v / za.HARTREE_EV**2 for v in values_ev2])
+fits = [za.execute(point).fit
+        for point in za.sweep_points(cfg, "Omega2", values_ev2)]
 
 print(f"{'(Rabi energy)^2 (eV^2)':>23} {'tau_eff (fs)':>13} {'r^2':>9}")
-for value, row in zip(values_ev2, rows):
-    print(f"{value:>23.1f} {za.au_to_fs(row['tau_eff']):>13.1f} "
-          f"{row['r_squared']:>9.5f}")
+for value, fit in zip(values_ev2, fits):
+    print(f"{value:>23.1f} {za.au_to_fs(fit.tau_eff):>13.1f} "
+          f"{fit.r_squared:>9.5f}")
 print("(the zero-field row is the unperturbed lifetime)")

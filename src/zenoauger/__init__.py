@@ -34,5 +34,5 @@ from .entanglement import (
 from .config import (
     ConfigError, PRESETS, RunConfig, RunResult, apply_axis_value,
     canonical_text, execute, expand, load_config, plan, preset_config,
-    zeno_phase_scan,
+    sweep_points,
 )

@@ -24,7 +24,7 @@ from . import __version__, units
 # perfbench/tracing.py wraps cli.apply_axis_value by name
 from .config import (FLOAT_FORMAT, SWEEP_AXES, ConfigError, RunConfig,
                      apply_axis_value, canonical_text, execute, format_float,
-                     load_config, plan, preset_config, sweep_point, PRESETS)
+                     load_config, plan, preset_config, sweep_points, PRESETS)
 from .observables import ObservableTrace
 from .propagator import ConvergenceError
 from .units import au_to_ev, au_to_fs
@@ -200,14 +200,9 @@ def cmd_sweep(args) -> int:
     if args.workers < 1:
         raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     out = Path(args.out)
-    payloads = []
-    for i, v in enumerate(values):  # plan every point before any output
-        try:
-            point = sweep_point(cfg, args.axis, SWEEP_AXES[args.axis](v))
-        except ValueError as exc:
-            raise ConfigError(
-                f"sweep point {args.axis} = {v!r}: {exc}") from None
-        payloads.append((point, v, str(out / "points" / f"{i:03d}")))
+    points = sweep_points(cfg, args.axis, values)  # before any output
+    payloads = [(point, v, str(out / "points" / f"{i:03d}"))
+                for i, (point, v) in enumerate(zip(points, values))]
     out.mkdir(parents=True, exist_ok=True)
     # the pool forks all of its workers at once: never more than points
     workers = min(args.workers, len(payloads))

@@ -394,37 +394,25 @@ def execute(cfg: RunConfig) -> RunResult:
                      splittings=stark_splittings(peaks))
 
 
-def sweep_point(cfg: RunConfig, axis: str, value: float) -> RunConfig:
-    """One sweep point's expanded configuration, planned but not run.
+def sweep_points(cfg: RunConfig, axis: str, values) -> list[RunConfig]:
+    """The expanded configuration of each scan point, planned but not run.
 
-    Raises as ``plan`` does, so a scan can refuse a bad point before it
-    runs any point.
+    Values are in the axis's unit (``SWEEP_AXES``).  Every point is
+    planned before any is returned, so a scan is refused before it runs
+    a point; the refusal names the first bad point.
     """
-    point = apply_axis_value(cfg, axis, value)
-    plan(point)
-    return point
-
-
-def zeno_phase_scan(base_config: RunConfig, axis: str, values) -> list[dict]:
-    """Run the base configuration once per axis value; tabulate lifetimes.
-
-    For tau1 < tau2 every point sits at or above the unperturbed lifetime
-    (measurement only slows the decay); with the lifetimes swapped at
-    least one point falls below it (the intervention accelerates decay).
-    """
-    if len(values) < 3:
-        raise ValueError(f"a scan needs at least 3 points, got {len(values)}")
-    points = [sweep_point(base_config, axis, value) for value in values]
-    rows = []
-    for value, point in zip(values, points):
-        fit = execute(point).fit
-        rows.append({
-            "value": float(value),
-            "tau_eff": fit.tau_eff,
-            "tau_one_over_e": fit.tau_one_over_e,
-            "r_squared": fit.r_squared,
-        })
-    return rows
+    if axis not in SWEEP_AXES:
+        raise ConfigError(f"unknown sweep axis {axis!r}")
+    points = []
+    for value in values:
+        try:
+            point = apply_axis_value(cfg, axis, SWEEP_AXES[axis](value))
+            plan(point)
+        except ValueError as exc:
+            raise ConfigError(
+                f"sweep point {axis} = {float(value)!r}: {exc}") from None
+        points.append(point)
+    return points
 
 
 # Named scenarios.  li / li_plus are the lithium atom and the hollow

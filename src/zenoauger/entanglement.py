@@ -105,8 +105,13 @@ class ConcurrenceMatrix:
         return c
 
     def block(self, row_region: str, col_region: str) -> np.ndarray:
+        """One region pair's block of ``C``, built alone: equal bit for bit."""
         sel = {"S": slice(0, self.n_s), "P": slice(self.n_s, None)}
-        return self.C[sel[row_region], sel[col_region]]
+        m = self.magnitudes
+        c = 2.0 * np.outer(m[sel[row_region]], m[sel[col_region]])
+        if row_region == col_region:
+            np.fill_diagonal(c, 0.0)
+        return c
 
     def to_sparse_triplets(self, floor: float = EMISSION_FLOOR) -> np.ndarray:
         """(n, 3) upper-triangle (eps_k, eps_k', C) rows with C >= floor."""

@@ -188,16 +188,16 @@ def test_criterion_08_zeno_anti_zeno_crossover():
     overrides = ["model.N=801", "propagation.T_total=300 fs",
                  "propagation.sample_stride=1 fs",
                  "propagation.dt_max=0.42743545175798071 au"]
-    delays = [za.fs_to_au(v) for v in (0.0, 5.0, 20.0)]
-    normal = za.zeno_phase_scan(
+    delays_fs = (0.0, 5.0, 20.0)
+    normal = [za.execute(p).fit for p in za.sweep_points(
         za.preset_config("fig3_squares", overrides=overrides),
-        "dt_delay", delays)
-    swapped = za.zeno_phase_scan(
+        "dt_delay", delays_fs)]
+    swapped = [za.execute(p).fit for p in za.sweep_points(
         za.preset_config("fig3_squares", overrides=overrides + [
             "model.tau1=300 fs", "model.tau2=100 fs"]),
-        "dt_delay", delays)
-    normal_taus = [za.au_to_fs(r["tau_eff"]) for r in normal]
-    swapped_taus = [za.au_to_fs(r["tau_eff"]) for r in swapped]
+        "dt_delay", delays_fs)]
+    normal_taus = [za.au_to_fs(fit.tau_eff) for fit in normal]
+    swapped_taus = [za.au_to_fs(fit.tau_eff) for fit in swapped]
     no_anti_zeno = all(t >= 0.95 * 100.0 for t in normal_taus)
     anti_zeno = any(t < 0.9 * 300.0 for t in swapped_taus)
     ok = no_anti_zeno and anti_zeno

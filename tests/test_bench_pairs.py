@@ -1,5 +1,5 @@
-"""The summary and output parsing of tools/bench_pairs.py, on made-up
-runs: no benchmark runs here."""
+"""The pair loop, summary and output parsing of tools/bench_pairs.py, on
+made-up runs: no benchmark runs here."""
 import json
 import sys
 from pathlib import Path
@@ -59,3 +59,25 @@ def test_metrics_are_the_benchmarks_and_their_raw_times():
     units = bench_pairs.metrics(benchmark)
     assert sorted(units) == sorted(NAMES)
     assert units["wall_s_raw"] == units["wall_s"] + ", not scaled"
+
+
+def test_pairs_alternate_the_side_that_runs_first(monkeypatch):
+    calls = []
+
+    def run_bench(copy, workload, seed, seconds, traced=False):
+        calls.append((copy, workload, seed, traced))
+        return {"wall_s": float(seed), "failed": 0}
+
+    monkeypatch.setattr(bench_pairs, "run_bench", run_bench)
+    pairs = list(bench_pairs.run_pairs({"parent": "P", "change": "C"},
+                                       "preset_mix", range(21, 24), 50.0,
+                                       traced=True))
+    assert [(copy, seed) for copy, _, seed, _ in calls] == [
+        ("P", 21), ("C", 21), ("C", 22), ("P", 22), ("P", 23), ("C", 23)]
+    assert all(workload == "preset_mix" and traced
+               for _, workload, _, traced in calls)
+    assert [(pair["seed"], pair["first"]) for pair in pairs] == [
+        (21, "parent"), (22, "change"), (23, "parent")]
+    summary = bench_pairs.summarize(pairs, ["wall_s"])
+    assert summary["pairs"] == 3
+    assert summary["wall_s"]["parent_q1_median_q3"] == [21.5, 22.0, 22.5]

@@ -143,6 +143,23 @@ class TestConcurrenceMatrix:
         cmat = za.concurrence_matrix(res.trace.final_state)
         assert np.max(cmat.block("S", "P")) > 1e-6
 
+    def test_block_never_builds_the_dense_matrix(self, monkeypatch):
+        n_modes, n_s = 40, 25
+        psi = random_single_excitation(np.random.default_rng(11), n_modes,
+                                       n_s=n_s)
+        cmat = za.concurrence_matrix(psi)
+        dense = cmat.C
+        sel = {"S": slice(0, n_s), "P": slice(n_s, None)}
+
+        def refuse(_self):
+            raise AssertionError("block built the dense matrix")
+
+        monkeypatch.setattr(za.ConcurrenceMatrix, "C", property(refuse))
+        for row in "SP":
+            for col in "SP":
+                assert np.array_equal(cmat.block(row, col),
+                                      dense[sel[row], sel[col]])
+
 
 class TestEmission:
     def test_sparse_csv_and_header(self, tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import zenoauger as za
+from zenoauger.config import SWEEP_AXES
 from zenoauger.observables import ObservableTrace, Spectrum
 from zenoauger.propagator import StateVector
 
@@ -177,36 +178,50 @@ class TestFindPeaks:
 
 
 class TestZenoPhaseScan:
+    FAST = ["model.N=101", "propagation.T_total=6 fs",
+            "propagation.sample_stride=0.5 fs"]
+    # two values per axis, each in its unit
+    AXIS_VALUES = {"Omega2": (0.0, 0.09),     # eV^2
+                   "intensity": (0.0, 5.1),   # TW/cm^2
+                   "t_m": (0.16, 0.2),        # fs
+                   "dt_delay": (0.0, 0.5),    # fs
+                   "omega": (2.4, 2.5)}       # eV
+
     def test_off_point_recovers_bare_lifetime(self):
         cfg = za.preset_config("li", overrides=[
             "model.N=301", "model.tau1=8 fs", "model.tau2=inf",
             "propagation.T_total=30 fs",
         ])
-        values = [0.0, za.ev_to_au(0.4) ** 2, za.ev_to_au(0.6) ** 2]
-        rows = za.zeno_phase_scan(cfg, "Omega2", values)
-        assert len(rows) == 3
-        assert za.au_to_fs(rows[0]["tau_eff"]) == pytest.approx(8.0, rel=0.05)
+        points = za.sweep_points(cfg, "Omega2", [0.0, 0.4**2, 0.6**2])  # eV^2
+        taus = [za.execute(point).fit.tau_eff for point in points]
+        assert len(taus) == 3
+        assert za.au_to_fs(taus[0]) == pytest.approx(8.0, rel=0.05)
         # driving the transition can only slow this decay down
-        assert rows[1]["tau_eff"] > rows[0]["tau_eff"]
-        assert rows[2]["tau_eff"] > rows[1]["tau_eff"]
+        assert taus[1] > taus[0]
+        assert taus[2] > taus[1]
 
-    def test_requires_three_points(self):
-        cfg = za.preset_config("li")
-        with pytest.raises(ValueError):
-            za.zeno_phase_scan(cfg, "Omega2", [0.0, 1.0])
+    @pytest.mark.parametrize("axis", sorted(SWEEP_AXES))
+    def test_values_in_axis_units(self, axis):
+        values = self.AXIS_VALUES[axis]
+        cfg = za.preset_config("li", overrides=self.FAST)
+        expected = [za.apply_axis_value(cfg, axis, SWEEP_AXES[axis](v))
+                    for v in values]
+        assert za.sweep_points(cfg, axis, values) == expected
 
     def test_plans_every_point_before_running_any(self, monkeypatch):
-        cfg = za.preset_config("li", overrides=[
-            "model.N=101", "propagation.T_total=6 fs",
-        ])
+        cfg = za.preset_config("li", overrides=self.FAST)
         runs = []
-        execute = za.config.execute
-        monkeypatch.setattr(za.config, "execute",
-                            lambda point: runs.append(point) or execute(point))
-        values = [za.fs_to_au(t) for t in (0.2, 0.3, -0.1)]
-        with pytest.raises(ValueError, match="t_m"):
-            za.zeno_phase_scan(cfg, "t_m", values)
+        monkeypatch.setattr(za.config, "execute", runs.append)
+        with pytest.raises(za.ConfigError,
+                           match=r"^sweep point t_m = -0\.1: "):
+            for point in za.sweep_points(cfg, "t_m", (0.2, 0.3, -0.1)):
+                za.config.execute(point)
         assert runs == []  # the negative t_m is refused up front
+
+    def test_unknown_axis_refused(self):
+        cfg = za.preset_config("li", overrides=self.FAST)
+        with pytest.raises(za.ConfigError, match="unknown sweep axis 'foo'"):
+            za.sweep_points(cfg, "foo", (1.0,))
 
 
 class TestRwaAgreement:

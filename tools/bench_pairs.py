@@ -7,8 +7,9 @@ commit PARENT, made by ``git archive``; the change is a fresh copy of the
 working tree (every file git tracks or would track).  For each workload
 of ``BENCHMARK.json``, each of 10 pairs runs ``perfbench/run.py --trace
 0`` for the benchmark's ``run_seconds`` once in each copy on one seed,
-the side that goes first alternating from pair to pair.  Then each side
-runs one traced pass of ``preset_mix``.
+the side that goes first alternating from pair to pair.  Then 3 pairs
+of traced passes (``--trace 1``) of ``preset_mix`` run the same way, so
+that host drift between the sides does not read as a layer's cost.
 
 Everything goes to ``BENCH_<pr>.json`` at the root of the checkout,
 rewritten after every pair: per-pair values of each side and, per
@@ -31,6 +32,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
 TRACED = "preset_mix"
+TRACED_PAIRS = 3
 
 
 def metrics(benchmark: dict) -> dict:
@@ -103,6 +105,20 @@ def run_bench(copy: Path, workload: str, seed: int, seconds: float,
     return parse_run(done.stdout, traced)
 
 
+def run_pairs(copies: dict, workload: str, seeds, seconds: float,
+              traced: bool = False):
+    """Yield one pair of runs per seed, the side that goes first
+    alternating from pair to pair."""
+    for i, seed in enumerate(seeds):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        pair = {"seed": seed}
+        for side in order:
+            pair[side] = run_bench(copies[side], workload, seed, seconds,
+                                   traced)
+        pair["first"] = order[0]
+        yield pair
+
+
 def quartiles(values) -> list[float]:
     """[q1, median, q3], inclusive method, rounded to 4 decimals."""
     if len(values) == 1:
@@ -171,33 +187,31 @@ def main(argv=None) -> int:
         seed = 100 * args.pr
         for workload in (w["name"] for w in benchmark["workloads"]):
             pairs = []
-            record["workloads"][workload] = {"pairs": pairs}
-            for i in range(PAIRS):
-                seed += 1
-                order = ("parent", "change") if i % 2 == 0 else ("change",
-                                                                 "parent")
-                pair = {"seed": seed}
-                for side in order:
-                    pair[side] = run_bench(copies[side], workload, seed,
-                                           seconds)
-                pair["first"] = order[0]
+            entry = record["workloads"][workload] = {"pairs": pairs}
+            for pair in run_pairs(copies, workload,
+                                  range(seed + 1, seed + PAIRS + 1), seconds):
                 pairs.append(pair)
-                record["workloads"][workload]["summary"] = summarize(pairs,
-                                                                     units)
+                entry["summary"] = summarize(pairs, units)
                 save()
-                print(f"{workload} pair {i + 1}: wall_s parent "
+                print(f"{workload} pair {len(pairs)}: wall_s parent "
                       f"{pair['parent']['wall_s']} change "
                       f"{pair['change']['wall_s']}", flush=True)
-        seed = 100 * args.pr + 99
-        record[f"traced_{TRACED}"] = {
+            seed += PAIRS
+        pairs = []
+        entry = record[f"traced_{TRACED}"] = {
             "command": (f"python3 perfbench/run.py --workload {TRACED} "
-                        f"--seed {seed} --seconds {seconds:g} --trace 1"),
-            "note": ("per-pass medians of the traced passes; *_us.d<n> are "
-                     "untraced micro-timings at dimension n"),
-            "seed": seed,
-            **{side: run_bench(copy, TRACED, seed, seconds, True)
-               for side, copy in copies.items()}}
-        save()
+                        f"--seed <seed> --seconds {seconds:g} --trace 1"),
+            "note": ("per-pass medians of the traced passes, in alternating "
+                     "pairs; *_us.d<n> are untraced micro-timings at "
+                     "dimension n"),
+            "pairs": pairs}
+        seeds = range(seed + 1, seed + TRACED_PAIRS + 1)
+        for pair in run_pairs(copies, TRACED, seeds, seconds, traced=True):
+            pairs.append(pair)
+            entry["summary"] = summarize(pairs, [
+                name for name in pair["parent"] if name in pair["change"]
+                and name not in ("attempted", "failed")])
+            save()
     print(f"wrote {out}")
     return 0
 
