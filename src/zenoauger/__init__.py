@@ -2,7 +2,9 @@
 
 A two-bound-state/two-continuum model driven by pulse trains: build the
 arrowhead Hamiltonian, propagate the time-dependent Schroedinger equation
-with a Lanczos short-time propagator, and extract effective lifetimes,
+(a fourth-order splitting of exact flows in the eigenbasis of the
+drive-free blocks where the coupling varies, one Lanczos exponential per
+sample interval where it is constant), and extract effective lifetimes,
 time-resolved lineshapes, drive-induced line splittings and continuum
 mode-entanglement matrices.
 """
@@ -20,8 +22,8 @@ from .model import (
 )
 from .drive import PulseSchedule, build_schedule, coupling_at, envelope_at
 from .propagator import (
-    ConvergenceError, PropagationConfig, initial_state,
-    pi_pulse_transfer_check, propagate, step,
+    ConvergenceError, PropagationConfig, evolve_interval, initial_state,
+    pi_pulse_transfer_check, propagate,
 )
 from .observables import (
     LifetimeFit, ObservableTrace, Peak, Spectrum, find_peaks, fit_lifetime,

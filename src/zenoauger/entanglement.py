@@ -128,8 +128,8 @@ def write_concurrence(cmat: ConcurrenceMatrix, directory,
     ``concurrence.csv`` holds one upper-triangle (eps_k, eps_k', C) row
     per pair at or above the floor (a full matrix spans many decades, so
     thresholded triplets are the file default); ``concurrence.json``
-    records the snapshot time, the energy ranges of the two regions and
-    the flooring applied.
+    records the snapshot time, the energy range [lowest, highest] of each
+    region, ``[]`` for a region without modes, and the flooring applied.
     """
     out = Path(directory)
     out.mkdir(parents=True, exist_ok=True)
@@ -145,15 +145,18 @@ def write_concurrence(cmat: ConcurrenceMatrix, directory,
             # one mode row per write: no whole-file string
             row = firsts[k].join(compress(seconds[k + 1:], keep.tolist()))
             handle.write((firsts[k] + row) % tuple(c.tolist()))
+
+    def span(energies: np.ndarray) -> str:
+        ends = (energies.min(), energies.max()) if len(energies) else ()
+        return "[" + ", ".join(fmt % au_to_ev(e) for e in ends) + "]"
+
     energies = cmat.mode_energies
     header = "\n".join((
         "{",
         f'  "floor": {fmt % floor},',
         '  "regions": {',
-        f'    "P": [{fmt % au_to_ev(energies[cmat.n_s:].min())}, '
-        f'{fmt % au_to_ev(energies[cmat.n_s:].max())}],',
-        f'    "S": [{fmt % au_to_ev(energies[:cmat.n_s].min())}, '
-        f'{fmt % au_to_ev(energies[:cmat.n_s].max())}]',
+        f'    "P": {span(energies[cmat.n_s:])},',
+        f'    "S": {span(energies[:cmat.n_s])}',
         "  },",
         f'  "time_fs": {fmt % au_to_fs(cmat.time_stamp)}',
         "}",

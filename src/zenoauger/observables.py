@@ -47,11 +47,15 @@ class ObservableTrace:
     @property
     def spectra(self) -> list[Spectrum]:
         """One spectrum per snapshot state: A = |b_k|^2 per region."""
-        return [Spectrum(time=psi.time_stamp,
-                         energies_s=self.energies_s, A_s=abs(psi.b_s) ** 2,
-                         energies_p=self.energies_p, A_p=abs(psi.b_p) ** 2,
-                         d_eps_s=self.d_eps_s, d_eps_p=self.d_eps_p)
-                for psi in self.states]
+        return [self.spectrum(i) for i in range(len(self.states))]
+
+    def spectrum(self, i: int) -> Spectrum:
+        """The spectrum of snapshot ``i``."""
+        psi = self.states[i]
+        return Spectrum(time=psi.time_stamp,
+                        energies_s=self.energies_s, A_s=abs(psi.b_s) ** 2,
+                        energies_p=self.energies_p, A_p=abs(psi.b_p) ** 2,
+                        d_eps_s=self.d_eps_s, d_eps_p=self.d_eps_p)
 
     @property
     def P_bound(self) -> np.ndarray:
@@ -183,11 +187,11 @@ class Spectrum:
 
     @property
     def density_s(self) -> np.ndarray:
-        return self.A_s / self.d_eps_s
+        return _density(self.energies_s, self.A_s, self.d_eps_s)
 
     @property
     def density_p(self) -> np.ndarray:
-        return self.A_p / self.d_eps_p
+        return _density(self.energies_p, self.A_p, self.d_eps_p)
 
     def region(self, name: str):
         if name == "S":
@@ -197,13 +201,21 @@ class Spectrum:
         raise ValueError(f"unknown region {name!r}")
 
 
+def _density(energies: np.ndarray, a: np.ndarray, d_eps: float) -> np.ndarray:
+    """A / d_eps, refused for modes without an energy axis."""
+    if len(energies) != len(a):
+        raise ValueError("the spectrum has no energy axis for its modes; "
+                         "pass grids=(grid_s, grid_p) to propagate")
+    return a / d_eps
+
+
 def lineshape(trace: ObservableTrace, t: float) -> Spectrum:
     """The spectral snapshot recorded nearest to time t, within 1e-6 T."""
     available = [psi.time_stamp for psi in trace.states]
     if available:
         i = int(np.argmin(np.abs(np.subtract(available, t))))
         if abs(available[i] - t) < 1e-6 * max(trace.T, 1.0):
-            return trace.spectra[i]
+            return trace.spectrum(i)
     raise ValueError(f"no spectral snapshot at t = {t}; recorded at {available}")
 
 

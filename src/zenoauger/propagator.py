@@ -94,10 +94,11 @@ class PropagationConfig:
     where the coupling is constant (field-free stretches, square
     rotating-frame windows): one exact flow spans each sample interval
     there.  ``krylov_dim`` and ``residual_tol`` configure the Lanczos
-    exponentials of runs whose coupling is constant and of :func:`step`;
-    the S6 steps take no Krylov space.  ``sample_dt`` is the observable
-    output stride, T_total / 400 unless given (cycle boundaries and window
-    edges are always sampled as well).  Snapshot times lie in [0, T_total].
+    exponentials (:func:`evolve_interval`) of runs whose coupling is
+    constant; the S6 steps take no Krylov space.  ``sample_dt`` is the
+    observable output stride, T_total / 400 unless given (cycle boundaries
+    and window edges are always sampled as well).  Snapshot times lie in
+    [0, T_total].
     """
 
     T_total: float
@@ -208,51 +209,37 @@ def _subspace_exp(alphas: np.ndarray, betas: np.ndarray, dt: float,
     return u, err
 
 
-def _step_array(vec: np.ndarray, t: float, dt: float, ham: Hamiltonian,
-                schedule: PulseSchedule, krylov_dim: int, residual_tol: float,
-                depth: int = 0) -> np.ndarray:
-    """exp(-i H(t + dt/2) dt) vec, halved while the residual fails."""
-    g = coupling_at(schedule, t + 0.5 * dt)
-    out, err, _ = _lanczos_expv(ham, g, vec, dt, krylov_dim, residual_tol)
-    if err < residual_tol:
-        return out
-    if depth >= MAX_HALVINGS:
-        raise ConvergenceError(
-            f"Krylov residual {err:.3e} above tolerance {residual_tol:.3e} "
-            f"at t = {t:.6g} after {depth} step halvings"
-        )
-    half = 0.5 * dt
-    mid = _step_array(vec, t, half, ham, schedule, krylov_dim, residual_tol,
-                      depth + 1)
-    return _step_array(mid, t + half, half, ham, schedule, krylov_dim,
-                       residual_tol, depth + 1)
-
-
-def step(psi: StateVector, t: float, dt: float, ham: Hamiltonian,
-         schedule: PulseSchedule,
-         krylov_dim: int = PropagationConfig.krylov_dim,
-         residual_tol: float = PropagationConfig.residual_tol) -> StateVector:
-    """Advance the state by dt using the midpoint coupling.
-
-    The interval [t, t + dt) must not straddle a pulse-window edge;
-    :func:`propagate` arranges its steps accordingly.
-    """
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    data = _step_array(psi.data, t, dt, ham, schedule, krylov_dim,
-                       residual_tol)
-    return StateVector(data=data, n_s=psi.n_s, time_stamp=t + dt)
-
-
 def evolve_interval(vec: np.ndarray, t0: float, t1: float, ham: Hamiltonian,
                     schedule: PulseSchedule, *,
                     krylov_dim: int = PropagationConfig.krylov_dim,
                     residual_tol: float = PropagationConfig.residual_tol
                     ) -> np.ndarray:
-    """exp(-i H((t0 + t1)/2) (t1 - t0)) vec, halved while the residual
-    fails; exact for any span over which H is constant."""
-    return _step_array(vec, t0, t1 - t0, ham, schedule, krylov_dim,
-                       residual_tol)
+    """exp(-i H((t0 + t1)/2) (t1 - t0)) vec; exact for any span over
+    which H is constant, and [t0, t1) must not straddle a pulse-window
+    edge (:func:`propagate` arranges its intervals accordingly).
+
+    A step whose residual fails is replaced by its two halves, the first
+    taken first, each at its own midpoint coupling, at most
+    ``MAX_HALVINGS`` deep.
+    """
+    if not t1 > t0:
+        raise ValueError(f"t1 must exceed t0, got [{t0}, {t1}]")
+    pending = [(t0, t1 - t0, 0)]  # (start, length, halvings), last first
+    while pending:
+        t, dt, depth = pending.pop()
+        g = coupling_at(schedule, t + 0.5 * dt)
+        out, err, _ = _lanczos_expv(ham, g, vec, dt, krylov_dim, residual_tol)
+        if err < residual_tol:
+            vec = out
+            continue
+        if depth >= MAX_HALVINGS:
+            raise ConvergenceError(
+                f"Krylov residual {err:.3e} above tolerance {residual_tol:.3e} "
+                f"at t = {t:.6g} after {depth} step halvings"
+            )
+        half = 0.5 * dt
+        pending += ((t + half, half, depth + 1), (t, half, depth + 1))
+    return vec
 
 
 class _Split:
@@ -458,13 +445,8 @@ def _split_samples(psi0: StateVector, ham: Hamiltonian,
             yield from split.sites(batch, filled)
 
 
-def pi_pulse_transfer_check(
-    Omega: float,
-    omega: float,
-    delta: float,
-    mode: str = "rwa_pulsed",
-    residual_tol: float = 1e-13,
-) -> float:
+def pi_pulse_transfer_check(Omega: float, omega: float, delta: float,
+                            mode: str = "rwa_pulsed") -> float:
     """Propagate |1> through one pulse with decay disabled; return P2.
 
     A two-level system with splitting omega - delta is driven for exactly
@@ -485,5 +467,5 @@ def pi_pulse_transfer_check(
                               mode=mode, T_total=math.pi / Omega)
     if schedule.is_rwa:
         ham = rotating_frame(ham, omega)
-    config = PropagationConfig(T_total=schedule.t_pi, residual_tol=residual_tol)
+    config = PropagationConfig(T_total=schedule.t_pi, residual_tol=1e-13)
     return float(propagate(initial_state(ham), ham, schedule, config).P2[-1])

@@ -87,8 +87,7 @@ def ceiling_runs():
 def strong_drive_pair():
     """Largest Rabi energy with a 3 eV carrier: full field vs RWA."""
     ov = ["model.E2=38 eV", "drive.omega=3 eV",
-          "drive.Omega=3.1622776601683795 eV",
-          "propagation.dt_max=0.54 au"]  # pulse bound; carrier is slow here
+          "drive.Omega=3.1622776601683795 eV"]
     full = za.execute(za.preset_config("fig3_circles", overrides=ov))
     rwa = za.execute(za.preset_config(
         "fig3_circles", overrides=ov + ["drive.mode=rwa_pulsed"]))
@@ -186,8 +185,7 @@ def test_criterion_07_lifetime_trends(monotonicity_runs, ceiling_runs,
 
 def test_criterion_08_zeno_anti_zeno_crossover():
     overrides = ["model.N=801", "propagation.T_total=300 fs",
-                 "propagation.sample_stride=1 fs",
-                 "propagation.dt_max=0.42743545175798071 au"]
+                 "propagation.sample_stride=1 fs"]
     delays_fs = (0.0, 5.0, 20.0)
     normal = [za.execute(p).fit for p in za.sweep_points(
         za.preset_config("fig3_squares", overrides=overrides),
@@ -214,7 +212,7 @@ def test_criterion_09_solver_correctness(li_baseline, li_point_a, li_point_b,
     import scipy.linalg
     from conftest import random_state, small_system
     from zenoauger.drive import coupling_at
-    from zenoauger.propagator import StateVector, step
+    from zenoauger.propagator import evolve_interval
 
     _, _, _, ham = small_system(n_points=63)  # dimension 128
     sched = za.build_schedule(za.ev_to_au(1.0), za.ev_to_au(10.0), 0.0,
@@ -224,9 +222,9 @@ def test_criterion_09_solver_correctness(li_baseline, li_point_a, li_point_b,
         vec = random_state(ham, seed)
         g = coupling_at(sched, t + dt / 2)
         exact = scipy.linalg.expm(-1j * dt * ham.dense(g)) @ vec
-        out = step(StateVector(vec.copy(), ham.n_s, t), t, dt, ham, sched,
-                   residual_tol=1e-12)
-        worst = max(worst, float(np.max(np.abs(out.data - exact))))
+        out = evolve_interval(vec.copy(), t, t + dt, ham, sched,
+                              residual_tol=1e-12)
+        worst = max(worst, float(np.max(np.abs(out - exact))))
 
     runs = [li_baseline, li_point_a, li_point_b, *li_plus_pair, stark_run,
             lineshape_run, *(r for _, r in monotonicity_runs),

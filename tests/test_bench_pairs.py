@@ -81,3 +81,38 @@ def test_pairs_alternate_the_side_that_runs_first(monkeypatch):
     summary = bench_pairs.summarize(pairs, ["wall_s"])
     assert summary["pairs"] == 3
     assert summary["wall_s"]["parent_q1_median_q3"] == [21.5, 22.0, 22.5]
+
+
+def test_emit_diff_lists_the_files_that_differ(monkeypatch, tmp_path):
+    # fake emit runs: each copy writes a small tree; diff -r compares them
+    trees = {
+        "parent": {"li/trace.csv": "1\n", "li/summary.json": "{}\n",
+                   "li.log": "exit 0\n", "gone/a.csv": "x\n"},
+        "change": {"li/trace.csv": "2\n", "li/summary.json": "{}\n",
+                   "li.log": "exit 0\n", "new.log": "exit 2\n"},
+    }
+    calls = []
+
+    def emit_cases(script, copy, out):
+        calls.append((script, copy))
+        for name, text in trees[copy.name].items():
+            (out / name).parent.mkdir(parents=True, exist_ok=True)
+            (out / name).write_text(text)
+
+    monkeypatch.setattr(bench_pairs, "emit_cases", emit_cases)
+    copies = {"parent": tmp_path / "parent", "change": tmp_path / "change"}
+    found = bench_pairs.emit_diff(copies, tmp_path)
+    script = tmp_path / "parent" / "tools" / "emit_cases.py"
+    assert calls == [(script, copies["parent"]), (script, copies["change"])]
+    assert found == ["gone (only in emit_parent)", "li/trace.csv",
+                     "new.log (only in emit_change)"]
+
+
+def test_emit_diff_of_identical_trees_is_empty(monkeypatch, tmp_path):
+    def emit_cases(script, copy, out):
+        (out / "li").mkdir(parents=True)
+        (out / "li" / "trace.csv").write_text("1\n")
+
+    monkeypatch.setattr(bench_pairs, "emit_cases", emit_cases)
+    assert bench_pairs.emit_diff({"parent": tmp_path / "p",
+                                  "change": tmp_path / "c"}, tmp_path) == []

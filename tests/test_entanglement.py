@@ -217,6 +217,20 @@ class TestEmission:
         written = (out / "concurrence.csv").read_bytes()
         assert written == ("\n".join(lines) + "\n").encode("utf-8")
 
+    @pytest.mark.parametrize("n_s", [0, 3])
+    def test_region_without_modes_is_written_empty(self, tmp_path, n_s):
+        # n_s == len(b) leaves the P region empty, n_s == 0 the S region
+        import json
+        cmat = za.concurrence_matrix(continuum_state([0.6, 0.0, 0.8], n_s),
+                                     mode_energies=[1.5, 2.0, 2.5])
+        out = za.write_concurrence(cmat, tmp_path, floor=1e-8)
+        regions = json.loads((out / "concurrence.json").read_text())["regions"]
+        full = [za.au_to_ev(1.5), za.au_to_ev(2.5)]
+        assert regions == ({"S": [], "P": full} if n_s == 0
+                           else {"S": full, "P": []})
+        lines = (out / "concurrence.csv").read_text().splitlines()
+        assert len(lines) == 2 and float(lines[1].split(",")[2]) == 0.96
+
     def test_write_memory_does_not_grow_with_pairs(self, tmp_path):
         # 2N = 2000 modes at floor 0: 1 999 000 triplets, 115 MB of text;
         # a writer that streams mode rows holds one row at a time

@@ -117,6 +117,38 @@ class TestLineshape:
         with pytest.raises(ValueError, match="snapshot"):
             za.lineshape(li_baseline.trace, za.fs_to_au(33.33))
 
+    def test_density_without_grids_is_refused(self):
+        # without grids the energy axes are empty and d_eps is 0: peaks
+        # would come from a 0/0 density, so the density is refused
+        p = za.plan(za.preset_config("li", overrides=[
+            "model.N=101", "propagation.T_total=6 fs"]))
+        ham = za.assemble(p.levels, p.grid_s, p.grid_p)
+        trace = za.propagate(za.initial_state(ham), ham, p.schedule,
+                             p.propagation)
+        spectrum = za.lineshape(trace, trace.T)
+        assert len(spectrum.A_s) == 101
+        for region in ("density_s", "density_p"):
+            with pytest.raises(ValueError, match="grids"):
+                getattr(spectrum, region)
+        with pytest.raises(ValueError, match="grids"):
+            za.find_peaks(spectrum)
+
+    def test_builds_only_the_spectrum_it_returns(self, monkeypatch):
+        trace = ObservableTrace(
+            times=np.array([0.0, 1.0]), n_c=np.zeros(2), P1=np.ones(2),
+            P2=np.zeros(2), cycle_flags=np.zeros(2, dtype=bool),
+            states=[StateVector(make_state(1.0, b=(0.0, 0.0), n_s=1).data,
+                                1, t) for t in (0.5, 1.0)],
+            energies_s=np.array([2.0]), energies_p=np.array([3.0]),
+            d_eps_s=0.1, d_eps_p=0.1)
+        built = []
+        spectrum = ObservableTrace.spectrum
+        monkeypatch.setattr(ObservableTrace, "spectrum",
+                            lambda self, i: built.append(i)
+                            or spectrum(self, i))
+        assert za.lineshape(trace, 0.5).time == 0.5
+        assert built == [0]
+
     def test_field_free_long_time_lorentzian(self):
         tau_fs = 6.0
         cfg = za.preset_config("li", overrides=[

@@ -10,6 +10,10 @@ of ``BENCHMARK.json``, each of 10 pairs runs ``perfbench/run.py --trace
 the side that goes first alternating from pair to pair.  Then 3 pairs
 of traced passes (``--trace 1``) of ``preset_mix`` run the same way, so
 that host drift between the sides does not read as a layer's cost.
+Before the pairs, the parent's ``tools/emit_cases.py`` writes its cases
+once with each copy's package, and the files that ``diff -r`` finds
+different between the two trees are recorded: an empty list when they
+are byte-identical.
 
 Everything goes to ``BENCH_<pr>.json`` at the root of the checkout,
 rewritten after every pair: per-pair values of each side and, per
@@ -66,6 +70,45 @@ def tree_copy(dest: Path) -> Path:
             target.parent.mkdir(parents=True, exist_ok=True)
             shutil.copy2(source, target)
     return dest
+
+
+def emit_cases(script: Path, copy: Path, out: Path) -> None:
+    """The cases of the emit script, written into out with the copy's
+    package."""
+    subprocess.run([sys.executable, str(script), str(out)], cwd=copy,
+                   env={**os.environ, "PYTHONPATH": str(copy / "src")},
+                   check=True, capture_output=True)
+
+
+def differing_files(a: Path, b: Path) -> list[str]:
+    """Paths, relative to the two roots, that ``diff -r`` reports: a file
+    on both sides whose bytes differ, or an entry on one side only, with
+    that side's root name appended."""
+    done = subprocess.run(["diff", "-rq", str(a), str(b)],
+                          capture_output=True, text=True)
+    if done.returncode > 1:
+        raise RuntimeError(f"diff -r failed:\n{done.stderr}")
+    found = []
+    for line in done.stdout.splitlines():
+        if line.startswith("Only in "):
+            folder, name = line[len("Only in "):].split(": ", 1)
+            root = a if Path(folder).is_relative_to(a) else b
+            path = Path(folder).relative_to(root) / name
+            found.append(f"{path.as_posix()} (only in {root.name})")
+        else:  # "Files <a>/<path> and <b>/<path> differ"
+            first = line[len("Files "):].split(" and ", 1)[0]
+            found.append(Path(first).relative_to(a).as_posix())
+    return sorted(found)
+
+
+def emit_diff(copies: dict, scratch: Path) -> list[str]:
+    """The files in which the two copies' emitted cases differ, both
+    written by the parent's emit script."""
+    script = copies["parent"] / "tools" / "emit_cases.py"
+    outs = {side: scratch / f"emit_{side}" for side in copies}
+    for side, copy in copies.items():
+        emit_cases(script, copy, outs[side])
+    return differing_files(outs["parent"], outs["change"])
 
 
 def _median_of_line(stdout: str, prefix: str) -> tuple[float, int]:
@@ -184,6 +227,14 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as scratch:
         copies = {"parent": parent_copy(rev, Path(scratch) / "parent"),
                   "change": tree_copy(Path(scratch) / "change")}
+        record["emit_cases"] = {
+            "command": ("PYTHONPATH=<copy>/src python3 <parent>/tools/"
+                        "emit_cases.py <out>, in each copy, then diff -r "
+                        "of the two outputs"),
+            "differing_files": emit_diff(copies, Path(scratch))}
+        save()
+        print(f"emit_cases: {len(record['emit_cases']['differing_files'])} "
+              "files differ", flush=True)
         seed = 100 * args.pr
         for workload in (w["name"] for w in benchmark["workloads"]):
             pairs = []
