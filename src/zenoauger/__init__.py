@@ -2,11 +2,12 @@
 
 A two-bound-state/two-continuum model driven by pulse trains: build the
 arrowhead Hamiltonian, propagate the time-dependent Schroedinger equation
-(a fourth-order splitting of exact flows in the eigenbasis of the
-drive-free blocks where the coupling varies, one Lanczos exponential per
-sample interval where it is constant), and extract effective lifetimes,
-time-resolved lineshapes, drive-induced line splittings and continuum
-mode-entanglement matrices.
+(exact flows in the eigenbasis of the drive-free blocks, split by a
+fourth-order scheme where the coupling varies; one Lanczos exponential
+per sample interval in square rotating-frame windows, where it is a
+nonzero constant), and extract effective lifetimes, time-resolved
+lineshapes, drive-induced line splittings and continuum mode-entanglement
+matrices.
 """
 
 __version__ = "0.1.0"

@@ -184,9 +184,11 @@ _Z_FLOOR = math.sqrt(np.finfo(float).tiny)
 # Size of one float64 temporary of the secular solve: it works on chunks
 # of rows of an N x N matrix.
 _CHUNK_BYTES = 1 << 17
-# Size of the chunk of rows of the Cauchy matrix in the Cauchy transforms:
-# 256 KB holds about 40 rows of an li block, enough for the product with
-# a sample batch to run near GEMM speed.
+# Size of the chunk of rows of the Cauchy matrix in the Cauchy transforms,
+# which take one state at a time: 256 KB holds about 40 rows of an li
+# block.  Building the rows costs more than the product; one li block
+# took 3.0, 2.2 and 2.1 ms at 64 KB, 256 KB and 1 MB chunks (one BLAS
+# thread), the last at three times the peak memory.
 _CAUCHY_CHUNK_BYTES = 1 << 18
 _SECULAR_ITERATIONS = 64
 _EPS = float(np.finfo(float).eps)
@@ -240,13 +242,11 @@ class ArrowheadEigensystem:
             inv += mu
             yield chunk, np.reciprocal(inv, out=inv)
 
-    def sites(self, coeffs: np.ndarray, out: np.ndarray | None = None
-              ) -> np.ndarray:
+    def sites(self, coeffs: np.ndarray) -> np.ndarray:
         """Site amplitudes Q c of eigencoordinates c, bound state first.
 
-        ``coeffs`` has shape (N + 1,) or (N + 1, m), one state per column;
-        ``out``, of the same shape, may be ``coeffs`` itself.  The bound
-        amplitude is sum_j q0_j c_j and continuum amplitude k is
+        ``coeffs`` has shape (N + 1,) or (N + 1, m), one state per column.
+        The bound amplitude is sum_j q0_j c_j and continuum amplitude k is
         b_k = z_k sum_j q0_j c_j/(lam_j - d_k): each chunk of rows of the
         real Cauchy matrix multiplies the float view of q0 c, so no
         complex Cauchy block is formed.
@@ -255,18 +255,15 @@ class ArrowheadEigensystem:
         c = np.asarray(coeffs, dtype=complex)
         c2 = c.reshape(len(c), -1)
         y = np.multiply(self.q0[:n_roots, None], c2[:n_roots], order="C")
-        alone = c2[n_roots:].copy()
-        if out is None:
-            out = np.empty_like(c)
-        out2 = out.reshape(c2.shape)
-        out2[0] = y.sum(axis=0)
-        out2[1 + uncoupled] = alone
+        out = np.empty_like(c2)
+        out[0] = y.sum(axis=0)
+        out[1 + uncoupled] = c2[n_roots:]
         y_float = y.view(float)
         for chunk, inv in self._inverse_gaps():
             block = inv @ y_float
             block *= self.z[chunk, None]
-            out2[1 + chunk] = block.view(complex)
-        return out
+            out[1 + chunk] = block.view(complex)
+        return out.reshape(c.shape)
 
     def coefficients(self, sites: np.ndarray) -> np.ndarray:
         """Eigencoordinates Q^T x of site amplitudes x (the inverse of

@@ -1,28 +1,31 @@
 """Propagation of the driven decay dynamics.
 
-Runs whose coupling varies inside a drive window (full-field windows,
-ramped rotating-frame windows) are propagated in the eigencoordinates of
-the two arrowhead blocks of the drive-free Hamiltonian H0, {|1>, S} and
-{|2>, P} (:meth:`Hamiltonian.eigensystems`).  There the H0 flow over any
-time is one exact phase multiply, and the drive g(t) (|2><1| + h.c.),
-frozen at one instant, is an exact rotation of the two bound amplitudes,
-read from and written back to the eigencoordinates through the |1> and
-|2> rows of the block eigenvectors.  A field-free stretch is one phase
-multiply.  A drive window takes steps of Blanes & Moan's fourth-order
-six-stage composition S6 (J. Comput. Appl. Math. 142, 313 (2002)): seven
-phase flows and six rotations per step, time advancing inside the phase
-flows, the last flow of one step merged with the first of the next.  No
-product with H is taken, so no Krylov space, residual or halving is
-involved.  At every sample the site amplitudes are computed from the
-eigencoordinates (:meth:`ArrowheadEigensystem.sites`) and the
-populations are read from them, never from the eigencoordinates.
+Runs without a drive window, and runs whose coupling varies inside a
+window (full-field windows, ramped rotating-frame windows), are
+propagated in the eigencoordinates of the two arrowhead blocks of the
+drive-free Hamiltonian H0, {|1>, S} and {|2>, P}
+(:meth:`Hamiltonian.eigensystems`).  There the H0 flow over any time is
+one exact phase multiply, and the drive g(t) (|2><1| + h.c.), frozen at
+one instant, is an exact rotation of the two bound amplitudes, read from
+and written back to the eigencoordinates through the |1> and |2> rows of
+the block eigenvectors.  A field-free stretch is one phase multiply.  A
+drive window takes steps of Blanes & Moan's fourth-order six-stage
+composition S6 (J. Comput. Appl. Math. 142, 313 (2002)): seven phase
+flows and six rotations per step, time advancing inside the phase flows,
+the last flow of one step merged with the first of the next.  No product
+with H is taken, so no Krylov space, residual or halving is involved.
+The populations of a sample are read from the eigencoordinates: the
+bound amplitudes through the same two rows, and n_c as the norm less
+the bound populations.  Site amplitudes are computed
+(:meth:`ArrowheadEigensystem.sites`) only at snapshots and at the final
+sample, and the populations there are read from them.
 
-Runs whose coupling is constant inside every window (field-free runs,
-rotating-frame square windows) take one Lanczos exponential
-exp(-i H(t + dt/2) dt) v per sample interval, exact for any dt, built
-from the current state by the plain three-term recurrence (no
-reorthogonalization).  Its a posteriori residual has the final say: a
-step whose residual stays above tolerance is halved until it falls below.
+Runs whose windows hold a constant nonzero coupling (rotating-frame
+square windows) take one Lanczos exponential exp(-i H(t + dt/2) dt) v
+per sample interval, exact for any dt, built from the current state by
+the plain three-term recurrence (no reorthogonalization).  Its a
+posteriori residual has the final say: a step whose residual stays above
+tolerance is halved until it falls below.
 
 Steps are laid out so that no step straddles a sample or a pulse-window
 edge, where the coupling is discontinuous.
@@ -60,13 +63,6 @@ _B3 = 0.5 - (_B1 + _B2)
 _S6_WEIGHTS = (_B1, _B2, _B3, _B3, _B2, _B1)
 _S6_NODES = (_A1, _A1 + _A2, _A1 + _A2 + _A3, 1.0 - (_A1 + _A2 + _A3),
              1.0 - (_A1 + _A2), 1.0 - _A1)  # rotation times in the step
-# Eigencoordinates of this many bytes of samples (40 li samples, 65
-# li_plus ones) are turned into site amplitudes together: the Cauchy
-# matrix is rebuilt once per batch.  Every batch, the last one included,
-# is transformed at this full width, because BLAS picks its kernel by
-# the shape and a narrow product changes a column's last bits; a
-# sample's bits then do not depend on how many samples follow it.
-_SAMPLE_BATCH_BYTES = 1 << 20
 # Phase flows kept for this many step lengths.  The sample intervals of a
 # window differ in their last bits, so its steps alternate between a few
 # floats; two entries cut the phase vectors li computes from 1271 to 356.
@@ -94,11 +90,11 @@ class PropagationConfig:
     where the coupling is constant (field-free stretches, square
     rotating-frame windows): one exact flow spans each sample interval
     there.  ``krylov_dim`` and ``residual_tol`` configure the Lanczos
-    exponentials (:func:`evolve_interval`) of runs whose coupling is
-    constant; the S6 steps take no Krylov space.  ``sample_dt`` is the
-    observable output stride, T_total / 400 unless given (cycle boundaries
-    and window edges are always sampled as well).  Snapshot times lie in
-    [0, T_total].
+    exponentials (:func:`evolve_interval`) of runs with square
+    rotating-frame windows; every other run takes no Krylov space.
+    ``sample_dt`` is the observable output stride, T_total / 400 unless
+    given (cycle boundaries and window edges are always sampled as well).
+    Snapshot times lie in [0, T_total].
     """
 
     T_total: float
@@ -129,13 +125,7 @@ class PropagationConfig:
 
 
 def drive_step_bound(schedule: PulseSchedule) -> float:
-    """Default S6 step inside windows where the coupling varies.
-
-    Unbounded where it does not (``schedule.coupling_varies`` is false):
-    there H is constant and one exponential is exact for any step.
-    """
-    if not schedule.coupling_varies:
-        return math.inf
+    """Default S6 step inside windows where the coupling varies."""
     bound = schedule.t_pi / PULSE_STEP_FRACTION
     omega = abs(schedule.omega)  # the carrier period is 2 pi / |omega|
     if omega > 0:
@@ -286,13 +276,16 @@ class _Split:
         self._flows[h] = cached  # most recently used last
         return cached
 
+    def bound(self) -> tuple[complex, complex]:
+        """The amplitudes a1 and a2 of |1> and |2>."""
+        return complex(self.q1.dot(self.c_s)), complex(self.q2.dot(self.c_p))
+
     def rotate(self, t: float, tau: float):
         """exp(-i tau g (|2><1| + h.c.)) at g = g(t), on the bound amplitudes."""
         g = coupling_at(self.schedule, t)
         if g == 0.0:
             return
-        a1 = complex(self.q1.dot(self.c_s))
-        a2 = complex(self.q2.dot(self.c_p))
+        a1, a2 = self.bound()
         mag = abs(g)
         theta = mag * tau
         cos_m1 = -2.0 * math.sin(0.5 * theta) ** 2  # cos(theta) - 1
@@ -300,17 +293,18 @@ class _Split:
         self.c_s += self.q1 * (cos_m1 * a1 + w * g.conjugate() * a2)
         self.c_p += self.q2 * (w * g * a1 + cos_m1 * a2)
 
-    def sites(self, batch: np.ndarray, count: int):
-        """Site amplitudes of the first ``count`` columns of
-        eigencoordinates in ``batch``; every column is overwritten with
-        its site amplitudes block by block."""
+    def populations(self) -> tuple[float, float, float]:
+        """(n_c, P1, P2), n_c as the norm less the bound populations."""
+        a1, a2 = self.bound()
+        p1, p2 = abs(a1) ** 2, abs(a2) ** 2
+        flat = self.coeffs.view(float)
+        return float(flat.dot(flat)) - p1 - p2, p1, p2
+
+    def sites(self) -> np.ndarray:
+        """Site amplitudes of the state: a1, a2, then the S and P modes."""
         eig_s, eig_p = self.blocks
-        split = len(eig_s.lam)
-        eig_s.sites(batch[:split], out=batch[:split])
-        eig_p.sites(batch[split:], out=batch[split:])
-        for j in range(count):
-            yield np.concatenate((batch[:1, j], batch[split:split + 1, j],
-                                  batch[1:split, j], batch[split + 1:, j]))
+        x_s, x_p = eig_s.sites(self.c_s), eig_p.sites(self.c_p)
+        return np.concatenate((x_s[:1], x_p[:1], x_s[1:], x_p[1:]))
 
 
 def _s6_step(split: _Split, t: float, h: float, inner, closing: np.ndarray):
@@ -361,16 +355,18 @@ def propagate(psi0: StateVector, ham: Hamiltonian, schedule: PulseSchedule,
               config: PropagationConfig, grids=None) -> ObservableTrace:
     """Propagate and record populations and snapshot states.
 
-    Where the coupling varies, S6 steps of at most dt_max (default
-    :func:`drive_step_bound`) inside windows and one phase flow per sample
-    elsewhere; where it is constant, one Lanczos exponential per sample.
-    Every pulse edge is a step boundary; observables are recorded at the
-    configured stride and additionally at every cycle boundary.  The
-    complex state, from which spectra and entanglement measures follow,
-    is kept at the configured snapshot times and at the final sample.
-    Passing the pair of continuum grids attaches their energy axes to the
-    trace so spectra can be plotted against emission energy regardless
-    of the propagation frame.
+    Runs whose windows hold a constant nonzero coupling (square
+    rotating-frame windows) take one Lanczos exponential per sample.
+    Every other run is stepped in block eigencoordinates: S6 steps of at
+    most dt_max (default :func:`drive_step_bound`) inside windows and one
+    phase flow per sample elsewhere.  Every pulse edge is a step
+    boundary; observables are recorded at the configured stride and
+    additionally at every cycle boundary.  The complex state, from which
+    spectra and entanglement measures follow, is kept at the configured
+    snapshot times and at the final sample.  Passing the pair of
+    continuum grids attaches their energy axes to the trace so spectra
+    can be plotted against emission energy regardless of the propagation
+    frame.
     """
     times = sample_times(schedule, config)
     n_samples = len(times)
@@ -380,20 +376,23 @@ def propagate(psi0: StateVector, ham: Hamiltonian, schedule: PulseSchedule,
     snapshot = _near(times, config.snapshot_times, tol)
     snapshot[-1] = True
 
-    if schedule.coupling_varies:
-        vectors = _split_samples(psi0, ham, schedule, times,
-                                 config.dt_max or drive_step_bound(schedule))
+    if schedule.drive_active and not schedule.coupling_varies:
+        samples = _krylov_samples(psi0, ham, schedule, times, config)
     else:
-        vectors = _krylov_samples(psi0, ham, schedule, times, config)
+        samples = _split_samples(psi0, ham, schedule, times, snapshot,
+                                 config.dt_max or drive_step_bound(schedule))
     n_c = np.empty(n_samples)
     p1 = np.empty(n_samples)
     p2 = np.empty(n_samples)
     states: list[StateVector] = []
-    for i, (t, vec) in enumerate(zip(times, vectors, strict=True)):
+    for i, (t, sample) in enumerate(zip(times, samples, strict=True)):
+        if isinstance(sample, tuple):  # read from eigencoordinates
+            n_c[i], p1[i], p2[i] = sample
+            continue
         n_c[i], _, p1[i], p2[i], _ = orbital_populations(
-            StateVector(vec, psi0.n_s, t))
+            StateVector(sample, psi0.n_s, t))
         if snapshot[i]:
-            states.append(StateVector(vec.copy(), psi0.n_s, t))
+            states.append(StateVector(sample.copy(), psi0.n_s, t))
 
     axes = {}
     if grids is not None:
@@ -420,18 +419,11 @@ def _krylov_samples(psi0: StateVector, ham: Hamiltonian,
 
 def _split_samples(psi0: StateVector, ham: Hamiltonian,
                    schedule: PulseSchedule, times: np.ndarray,
-                   window_dt: float):
-    """The state at each sample time, propagated in block eigencoordinates.
-
-    The first sample is the initial state itself.  Later samples keep
-    their eigencoordinates in a batch of fixed width, whose site
-    amplitudes are computed together and yielded in order.  A last,
-    partly filled batch is transformed at full width as well, its unused
-    columns holding the finite site amplitudes of the batch before.
-    """
+                   snapshot: np.ndarray, window_dt: float):
+    """Each sample of a run propagated in block eigencoordinates: the
+    initial state itself first, then the site amplitudes at a snapshot
+    and the populations (n_c, P1, P2) at every other sample."""
     split = _Split(psi0, ham, schedule)
-    size = max(1, _SAMPLE_BATCH_BYTES // split.coeffs.nbytes)
-    batch = np.zeros((len(split.coeffs), size), dtype=complex)
     yield psi0.data
     for i in range(1, len(times)):
         t0, t = times[i - 1], times[i]
@@ -439,10 +431,7 @@ def _split_samples(psi0: StateVector, ham: Hamiltonian,
             _s6_interval(split, t0, t, window_dt)
         else:
             np.multiply(split.coeffs, split.phase(t - t0), out=split.coeffs)
-        filled = (i - 1) % size + 1
-        batch[:, filled - 1] = split.coeffs
-        if filled == size or i == len(times) - 1:
-            yield from split.sites(batch, filled)
+        yield split.sites() if snapshot[i] else split.populations()
 
 
 def pi_pulse_transfer_check(Omega: float, omega: float, delta: float,

@@ -1,8 +1,11 @@
 """The pair loop, summary and output parsing of tools/bench_pairs.py, on
 made-up runs: no benchmark runs here."""
 import json
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 import bench_pairs  # noqa: E402
@@ -116,3 +119,40 @@ def test_emit_diff_of_identical_trees_is_empty(monkeypatch, tmp_path):
     monkeypatch.setattr(bench_pairs, "emit_cases", emit_cases)
     assert bench_pairs.emit_diff({"parent": tmp_path / "p",
                                   "change": tmp_path / "c"}, tmp_path) == []
+
+
+PYTEST_OUTPUT = """\
+........F.........
+============================= slowest 10 durations =============================
+12.70s setup    tests/test_acceptance.py::test_criterion_07_lifetime_trends
+=========================== short test summary info ============================
+FAILED tests/test_cli.py::TestOtherCommands::test_solver_failure_exits_3 - as...
+1 failed, 346 passed, 2 deselected in 56.70s
+"""
+
+
+def test_tier1_runs_the_suite_in_the_copy_and_counts_outcomes(monkeypatch,
+                                                             tmp_path):
+    # a fake pytest run: the command, the copy it runs in and its package
+    calls = []
+
+    def run(command, cwd, env, capture_output, text):
+        calls.append((command, cwd, env["PYTHONPATH"]))
+        return subprocess.CompletedProcess(command, 1, PYTEST_OUTPUT, "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    result = bench_pairs.tier1(tmp_path)
+    assert calls == [([sys.executable, "-m", "pytest", "-q",
+                       "--continue-on-collection-errors"], tmp_path,
+                      str(tmp_path / "src"))]
+    assert result.pop("wall_s") >= 0.0
+    assert result == {"passed": 346, "failed": 1, "deselected": 2}
+
+
+def test_tier1_counts_default_to_zero_and_need_a_summary():
+    assert bench_pairs.tier1_counts("..\n347 passed in 57.03s\n") == {
+        "passed": 347, "failed": 0}
+    assert bench_pairs.tier1_counts("2 errors in 0.50s") == {
+        "passed": 0, "failed": 0, "errors": 2}
+    with pytest.raises(ValueError, match="summary"):
+        bench_pairs.tier1_counts("ImportError: no module named numpy\n")

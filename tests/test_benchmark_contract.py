@@ -54,7 +54,8 @@ def test_clean_pass_fails_no_operation(name, traced, monkeypatch):
     # exponential
     assert metrics["drive.coupling_calls"] == 6 * calls["s6"] + calls["expv"]
     if name == "preset_mix":
-        # its li_off and li_rwa runs are Krylov runs.  The tracer counts
+        # its li_rwa run (square rotating-frame windows) is a Krylov run;
+        # li_off takes the exact phase flows.  The tracer counts
         # products at static_csr.dot and intervals at evolve_interval; a
         # product path that skips them would read 0 here.  The tracer's
         # own krylov_dim_mean divides by every coupling read, S6 stage

@@ -486,9 +486,12 @@ class TestOtherCommands:
         assert main(["run", "--out", "/tmp/never"]) == 2
 
     def test_solver_failure_exits_3(self, tmp_path, monkeypatch, capsys):
+        # only square rotating-frame windows take Krylov steps
         monkeypatch.setattr(prop, "MAX_HALVINGS", 0)
-        code = main(["run", "--preset", "li", *FAST, "--override",
-                     "propagation.krylov_dim=4", "--out", str(tmp_path / "o")])
+        code = main(["run", "--preset", "li", *FAST_DRIVEN,
+                     "--override", "drive.mode=rwa_pulsed",
+                     "--override", "propagation.krylov_dim=4",
+                     "--out", str(tmp_path / "o")])
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("solver error: Krylov residual")

@@ -1,9 +1,10 @@
 """Package layout: every package import sits at module top level, the
 imports between modules point one way, and importing the package leaves
 scipy.linalg unloaded.  scipy.sparse loads inside
-``Hamiltonian.static_csr``, with the first product, so importing the
-package, ``validate`` and a run whose coupling varies (which takes no
-product) leave it unloaded too."""
+``Hamiltonian.static_csr``, with the first product, which only a run
+with square rotating-frame windows takes; so importing the package,
+``validate``, a full-field run and a field-free run leave it unloaded
+too."""
 import ast
 import graphlib
 import os
@@ -106,3 +107,11 @@ def test_full_field_run_leaves_scipy_sparse_unloaded():
            " 'propagation.sample_stride=0.5 fs']))")
     assert loaded_after(run, "scipy.sparse") == "[]"
     assert loaded_after(run, "scipy.linalg") == "[]"
+
+
+def test_field_free_run_leaves_scipy_sparse_unloaded():
+    # a field-free run is one phase flow per sample in eigencoordinates
+    run = ("import sys, zenoauger; zenoauger.execute(zenoauger."
+           "preset_config('li', ['drive.mode=off', 'model.N=101',"
+           " 'propagation.T_total=6 fs']))")
+    assert loaded_after(run, "scipy.sparse") == "[]"

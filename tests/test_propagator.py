@@ -308,9 +308,9 @@ class TestPropagate:
                                  - getattr(short, name))) < 1e-12
 
     def test_samples_do_not_depend_on_t_total(self):
-        # the back-transform runs every sample batch at one width, so a
-        # sample's bits do not depend on how many samples follow it: at
-        # T_total = 100 fs, 100 fs is the last sample of the run
+        # a sample's bits do not depend on how many samples follow it: at
+        # T_total = 100 fs, 100 fs is the last sample of the run, and in
+        # both runs a snapshot whose site amplitudes are transformed alone
         def trace(t_total_fs):
             return za.execute(za.preset_config("li", overrides=[
                 f"propagation.T_total={t_total_fs} fs",
@@ -326,20 +326,18 @@ class TestPropagate:
         (twin,) = [s for s in long.states if s.time_stamp == state.time_stamp]
         assert np.array_equal(twin.data, state.data)
 
-    @pytest.mark.parametrize("mode", ["pulsed", "rwa_pulsed"])
-    def test_snapshots_in_separate_batches_match_their_samples(self, mode):
-        # the split path (pulsed) yields the samples of a batch together,
-        # and the snapshots fall in three batches; on both paths each
-        # snapshot must be the state its sample's populations were read
-        # from, and own its memory
+    @pytest.mark.parametrize("mode", ["pulsed", "off", "rwa_pulsed"])
+    def test_snapshots_match_their_samples(self, mode):
+        # the split path (pulsed, off) reads the populations of other
+        # samples from the eigencoordinates; on both paths each snapshot
+        # must be the state its sample's populations were read from, and
+        # own its memory
         trace = za.execute(za.preset_config("li", overrides=[
             f"drive.mode={mode}", "propagation.T_total=30 fs",
             "propagation.spectrum_snapshot_times=5 fs, 12 fs, 25 fs"])).trace
-        width = prop._SAMPLE_BATCH_BYTES // trace.final_state.data.nbytes
         indices = [int(np.flatnonzero(trace.times == psi.time_stamp)[0])
                    for psi in trace.states]
         assert len(indices) == 4  # 5, 12 and 25 fs, and the final sample
-        assert len({(i - 1) // width for i in indices[:3]}) == 3
         for i, psi in zip(indices, trace.states):
             n_c, _, p1, p2, _ = za.orbital_populations(psi)
             assert (n_c, p1, p2) == (trace.n_c[i], trace.P1[i], trace.P2[i])
@@ -347,18 +345,20 @@ class TestPropagate:
             assert not np.shares_memory(a.data, b.data)
 
     def test_li_run_holds_its_memory_budget(self):
-        # the sample batch (1 MB) and the scratch arrays of its
-        # back-transform are the largest allocations of a driven run
-        p = za.plan(za.preset_config("li"))
-        ham = za.assemble(p.levels, p.grid_s, p.grid_p)
-        tracemalloc.start()
-        try:
-            prop.propagate(prop.initial_state(ham), ham, p.schedule,
-                           p.propagation)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 3 * 2**20
+        # the row chunks of the secular solve and of the Cauchy transforms
+        # are the largest allocations of a run; nothing holds a sample
+        # batch or a whole Cauchy matrix
+        for mode in ("pulsed", "off"):
+            p = za.plan(za.preset_config("li", [f"drive.mode={mode}"]))
+            ham = za.assemble(p.levels, p.grid_s, p.grid_p)
+            tracemalloc.start()
+            try:
+                prop.propagate(prop.initial_state(ham), ham, p.schedule,
+                               p.propagation)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2**20, mode
 
     @staticmethod
     def count_calls(monkeypatch, mode, overrides=()):
@@ -543,17 +543,26 @@ class TestDriveStepBound:
         bound = prop.drive_step_bound(sched)
         assert bound == pytest.approx(sched.t_pi / prop.PULSE_STEP_FRACTION)
 
-    def test_no_bound_without_drive(self):
-        sched = build_schedule(0.0, 0.0, 0.0, 0.0, 0.0, "off", 10.0)
-        assert prop.drive_step_bound(sched) == math.inf
+    def test_no_bound_without_drive(self, monkeypatch):
+        # a field-free run takes no step at all: one exact phase flow per
+        # sample interval, whatever dt_max says
+        couplings, exponentials, steps, _ = TestPropagate.count_calls(
+            monkeypatch, "off", ["propagation.dt_max=3 au"])
+        assert couplings == exponentials == steps == 0
 
     @pytest.mark.parametrize("mode", ["rwa_pulsed", "rwa_continuous"])
-    def test_no_bound_for_square_rwa_windows(self, mode):
-        for kwargs in ({}, {"envelope": "cosine_ramp", "ramp": 0.0},
-                       {"envelope": "square", "ramp": 2.0}):
-            sched = make_schedule(1000.0, mode=mode, **kwargs)
-            assert not sched.coupling_varies
-            assert prop.drive_step_bound(sched) == math.inf
+    def test_no_bound_for_square_rwa_windows(self, mode, monkeypatch):
+        # H is constant in a square rotating-frame window: one exponential
+        # spans each sample interval, whatever dt_max says
+        for overrides in ([],
+                          ["drive.envelope=cosine_ramp", "drive.ramp=0 fs"],
+                          ["drive.envelope=square", "drive.ramp=2 fs"]):
+            with monkeypatch.context() as patch:
+                couplings, exponentials, steps, trace = (
+                    TestPropagate.count_calls(
+                        patch, mode, ["propagation.dt_max=3 au", *overrides]))
+            assert couplings == exponentials == len(trace.times) - 1
+            assert steps == 0
 
     def test_negative_carrier_keeps_carrier_bound(self):
         assert (prop.drive_step_bound(make_schedule(1000.0, omega_ev=-10.0))
@@ -673,6 +682,39 @@ class TestSplitOracles:
         assert trace.P2[-1] == za.pi_pulse_transfer_check(
             Omega, omega, 0.0, mode="pulsed")
         assert abs(trace.P2[-1] - 1.0) < 1e-3
+
+
+class TestTransformInvariants:
+    """Where site amplitudes x are formed from eigencoordinates c, the
+    transform keeps the norm and the drive-free energy,
+    <x|H0|x> = sum_j lam_j |c_j|^2.  The second checks the eigenvalues
+    and the eigenvectors together; the populations of the other samples
+    are read from c and check neither."""
+
+    @pytest.mark.parametrize("preset, overrides", [
+        ("li", []), ("li_plus", []), ("fig4", ["model.N=601"]),
+        ("li", ["drive.mode=off"])], ids=["li", "li_plus", "fig4", "li_off"])
+    def test_final_transform_keeps_norm_and_energy(self, preset, overrides,
+                                                   monkeypatch):
+        formed = []
+        sites = prop._Split.sites
+
+        def recording(split):
+            x = sites(split)
+            formed.append((split.coeffs.copy(), split.lam, x))
+            return x
+
+        monkeypatch.setattr(prop._Split, "sites", recording)
+        cfg = za.preset_config(preset, overrides)
+        result = za.execute(cfg)
+        c, lam, x = formed[-1]  # at T_total
+        assert np.array_equal(x, result.trace.final_state.data)
+        p = za.plan(cfg)
+        h0 = za.assemble(p.levels, p.grid_s, p.grid_p)
+        energy = np.sum(lam * np.abs(c) ** 2)
+        assert abs(np.vdot(x, x).real - np.vdot(c, c).real) <= 1e-13
+        assert (abs(np.vdot(x, h0.apply(x)).real - energy)
+                <= 1e-13 * abs(energy))
 
 
 def wide_band_populations(result):

@@ -13,7 +13,9 @@ that host drift between the sides does not read as a layer's cost.
 Before the pairs, the parent's ``tools/emit_cases.py`` writes its cases
 once with each copy's package, and the files that ``diff -r`` finds
 different between the two trees are recorded: an empty list when they
-are byte-identical.
+are byte-identical.  Then the Tier-1 suite (``python -m pytest -q
+--continue-on-collection-errors``) runs once in each copy, and its wall
+time and its passed and failed counts are recorded per side.
 
 Everything goes to ``BENCH_<pr>.json`` at the root of the checkout,
 rewritten after every pair: per-pair values of each side and, per
@@ -26,11 +28,13 @@ import argparse
 import json
 import os
 import platform
+import re
 import shutil
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -109,6 +113,31 @@ def emit_diff(copies: dict, scratch: Path) -> list[str]:
     for side, copy in copies.items():
         emit_cases(script, copy, outs[side])
     return differing_files(outs["parent"], outs["change"])
+
+
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+
+
+def tier1_counts(stdout: str) -> dict:
+    """The outcome counts of pytest's last summary line ("3 failed, 344
+    passed, 1 error in 58.2s"); passed and failed are always present."""
+    summary = [line for line in stdout.splitlines()
+               if re.search(r"\d+ \w+.* in [\d.]+s", line)]
+    if not summary:
+        raise ValueError("no pytest summary line in the output")
+    head = summary[-1].rsplit(" in ", 1)[0]
+    counts = {word: int(n) for n, word in re.findall(r"(\d+) (\w+)", head)}
+    return {"passed": 0, "failed": 0, **counts}
+
+
+def tier1(copy: Path) -> dict:
+    """Wall time and outcome counts of one Tier-1 run in the copy."""
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, *TIER1], cwd=copy,
+                          env={**os.environ, "PYTHONPATH": str(copy / "src")},
+                          capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    return {"wall_s": round(wall, 2), **tier1_counts(done.stdout)}
 
 
 def _median_of_line(stdout: str, prefix: str) -> tuple[float, int]:
@@ -235,6 +264,13 @@ def main(argv=None) -> int:
         save()
         print(f"emit_cases: {len(record['emit_cases']['differing_files'])} "
               "files differ", flush=True)
+        record["tier1"] = {
+            "command": (f"PYTHONPATH=<copy>/src python3 {' '.join(TIER1)}, "
+                        "once in each copy, parent first")}
+        for side, copy in copies.items():
+            record["tier1"][side] = tier1(copy)
+            save()
+            print(f"tier1 {side}: {record['tier1'][side]}", flush=True)
         seed = 100 * args.pr
         for workload in (w["name"] for w in benchmark["workloads"]):
             pairs = []
