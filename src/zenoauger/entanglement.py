@@ -170,13 +170,18 @@ def concurrence_matrix(psi: StateVector,
     """Full pairwise concurrence via the single-excitation closed form.
 
     C_{kk'} = 2 |b_k| |b_k'| for k != k'; validated against the Wootters
-    eigenvalue route in the test suite.
+    eigenvalue route in the test suite.  ``mode_energies`` must hold one
+    energy per continuum mode.
     """
     mags = np.abs(psi.b)
     if mode_energies is None:
         mode_energies = np.arange(len(mags), dtype=float)
+    mode_energies = np.asarray(mode_energies, dtype=float)
+    if len(mode_energies) != len(mags):
+        raise ValueError(f"{len(mode_energies)} mode energies for "
+                         f"{len(mags)} continuum modes")
     return ConcurrenceMatrix(
-        mode_energies=np.asarray(mode_energies, dtype=float),
+        mode_energies=mode_energies,
         magnitudes=mags,
         n_s=psi.n_s,
         time_stamp=psi.time_stamp,

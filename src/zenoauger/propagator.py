@@ -14,6 +14,8 @@ composition S6 (J. Comput. Appl. Math. 142, 313 (2002)): seven phase
 flows and six rotations per step, time advancing inside the phase flows,
 the last flow of one step merged with the first of the next.  No product
 with H is taken, so no Krylov space, residual or halving is involved.
+Every phase vector, S6 or field-free, comes from one memo of the last
+ten flow lengths, so a length in use is exponentiated once.
 The populations of a sample are read from the eigencoordinates: the
 bound amplitudes through the same two rows, and n_c as the norm less
 the bound populations.  Site amplitudes are computed
@@ -32,6 +34,7 @@ edge, where the coupling is discontinuous.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -63,10 +66,10 @@ _B3 = 0.5 - (_B1 + _B2)
 _S6_WEIGHTS = (_B1, _B2, _B3, _B3, _B2, _B1)
 _S6_NODES = (_A1, _A1 + _A2, _A1 + _A2 + _A3, 1.0 - (_A1 + _A2 + _A3),
              1.0 - (_A1 + _A2), 1.0 - _A1)  # rotation times in the step
-# Phase flows kept for this many step lengths.  The sample intervals of a
-# window differ in their last bits, so its steps alternate between a few
-# floats; two entries cut the phase vectors li computes from 1271 to 356.
-_FLOW_CACHE = 2
+# Phase vectors kept by exact flow length.  A window's sample intervals
+# differ in their last bits, so its steps alternate between a few lengths
+# of five flows each; ten vectors, not five, cut li's from 1271 to 355.
+_PHASE_MEMO = 10
 
 
 class ConvergenceError(RuntimeError):
@@ -115,6 +118,9 @@ class PropagationConfig:
                            ("propagation.sample_stride", self.sample_dt)):
             if value is not None and not value > 0:
                 raise ValueError(f"{key} must be positive, got {value} au")
+        if self.dt_max and not self.T_total / self.dt_max < math.inf:
+            raise ValueError(f"propagation.dt_max = {self.dt_max} au is too "
+                             f"short to step T_total = {self.T_total} au")
         if self.sample_dt is None:
             self.sample_dt = self.T_total / 400.0
         for s in self.snapshot_times:
@@ -236,9 +242,9 @@ class _Split:
     """The state in block eigencoordinates and the exact flows on it.
 
     ``coeffs`` holds the eigencoordinates of the {|1>, S} block, then
-    those of the {|2>, P} block.  The phase vectors of the last two step
-    lengths are kept: most steps of a run have one length up to its last
-    bits.
+    those of the {|2>, P} block.  ``phase(tau)``, the H0 flow over tau,
+    memoizes exp(-i lam tau) by exact tau; the memo holds lam, not the
+    instance.
     """
 
     def __init__(self, psi: StateVector, ham: Hamiltonian,
@@ -257,24 +263,8 @@ class _Split:
         self.q1 = eig_s.q0.astype(complex)
         self.q2 = eig_p.q0.astype(complex)
         self.schedule = schedule
-        self._flows: dict[float, tuple] = {}
-
-    def phase(self, tau: float) -> np.ndarray:
-        """exp(-i lam tau), the H0 flow over tau in eigencoordinates."""
-        return np.exp(-1j * tau * self.lam)
-
-    def flows(self, h: float):
-        """The S6 phase flows of a step of length h: (opening, the five
-        between the rotations, opening merged with the next step's)."""
-        cached = self._flows.pop(h, None)
-        if cached is None:
-            if len(self._flows) >= _FLOW_CACHE:  # drop the least recent
-                self._flows.pop(next(iter(self._flows)))
-            p2, p3, p4 = (self.phase(a * h) for a in (_A2, _A3, _A4))
-            cached = (self.phase(_A1 * h), (p2, p3, p4, p3, p2),
-                      self.phase(2.0 * _A1 * h))
-        self._flows[h] = cached  # most recently used last
-        return cached
+        self.phase = functools.lru_cache(_PHASE_MEMO)(
+            functools.partial(_phase, self.lam))
 
     def bound(self) -> tuple[complex, complex]:
         """The amplitudes a1 and a2 of |1> and |2>."""
@@ -307,6 +297,11 @@ class _Split:
         return np.concatenate((x_s[:1], x_p[:1], x_s[1:], x_p[1:]))
 
 
+def _phase(lam: np.ndarray, tau: float) -> np.ndarray:
+    """exp(-i lam tau): the one place a phase vector is computed."""
+    return np.exp(-1j * tau * lam)
+
+
 def _s6_step(split: _Split, t: float, h: float, inner, closing: np.ndarray):
     """One S6 step over [t, t + h) whose opening flow has been applied;
     ``inner`` holds the five phase vectors between the rotations, and
@@ -324,7 +319,9 @@ def _s6_interval(split: _Split, t0: float, t1: float, h_max: float):
     t0, t1 = float(t0), float(t1)  # numpy scalars slow the node arithmetic
     n_steps = max(1, math.ceil((t1 - t0) / h_max - 1e-12))
     h = (t1 - t0) / n_steps
-    opening, inner, merged = split.flows(h)
+    p2, p3, p4 = (split.phase(a * h) for a in (_A2, _A3, _A4))
+    inner = (p2, p3, p4, p3, p2)
+    opening, merged = split.phase(_A1 * h), split.phase(2.0 * _A1 * h)
     np.multiply(split.coeffs, opening, out=split.coeffs)
     for i in range(n_steps):
         _s6_step(split, t0 + i * h, h, inner,

@@ -524,6 +524,7 @@ class TestValidateAgreesWithRun:
         "model.tau1=inf fs",
         "propagation.dt_max=inf fs",
         "propagation.sample_stride=inf fs",
+        "propagation.dt_max=5e-324 au",  # T_total / dt_max overflows
     ])
     def test_refused_by_both(self, override, tmp_path):
         args = ["--preset", "li", "--override", override]

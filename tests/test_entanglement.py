@@ -103,6 +103,15 @@ class TestConcurrenceMatrix:
         assert len(triplets) == 3  # n (n - 1) / 2 pairs, each once
         assert all(e_k < e_kp for e_k, e_kp, _ in triplets)
 
+    @pytest.mark.parametrize("n_energies", [2, 4], ids=["short", "long"])
+    def test_refuses_energies_not_one_per_mode(self, n_energies):
+        # a long array would shift the region spans of concurrence.json,
+        # a short one fail inside the writer's row formatting
+        psi = continuum_state([0.6, 0.8, 0.0], n_s=2)
+        with pytest.raises(ValueError, match=rf"{n_energies} mode energies "
+                                             r"for 3 continuum modes"):
+            za.concurrence_matrix(psi, mode_energies=np.arange(n_energies))
+
     def test_stores_only_magnitudes(self):
         n_modes, n_s = 40, 25
         rng = np.random.default_rng(7)

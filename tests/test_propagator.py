@@ -1,6 +1,8 @@
+import gc
 import itertools
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -359,6 +361,46 @@ class TestPropagate:
             finally:
                 tracemalloc.stop()
             assert peak <= 2**20, mode
+
+    def test_field_free_run_computes_each_interval_flow_once(
+            self, monkeypatch):
+        computed = []
+        phase = prop._phase
+
+        def counting(lam, tau):
+            computed.append(tau)
+            return phase(lam, tau)
+
+        monkeypatch.setattr(prop, "_phase", counting)
+        trace = za.execute(za.preset_config("li", overrides=[
+            "drive.mode=off", "propagation.T_total=20 fs",
+            "model.N=201"])).trace
+        lengths = np.unique(np.diff(trace.times))
+        assert 0 < len(computed) <= len(lengths) < len(trace.times) - 1
+
+    def test_phase_memo_keeps_no_reference_to_its_split(self, monkeypatch):
+        # a memo that held the instance (an lru_cache over a bound method)
+        # would keep it, its coefficients and its vectors alive until the
+        # cyclic collector runs
+        splits = []
+
+        class Recorded(prop._Split):
+            def __init__(self, *args):
+                super().__init__(*args)
+                splits.append(weakref.ref(self))
+
+        monkeypatch.setattr(prop, "_Split", Recorded)
+        p = za.plan(za.preset_config("li", ["propagation.T_total=20 fs",
+                                            "model.N=201"]))
+        ham = za.assemble(p.levels, p.grid_s, p.grid_p)
+        gc.disable()
+        try:
+            prop.propagate(prop.initial_state(ham), ham, p.schedule,
+                           p.propagation)
+            (split,) = splits
+            assert split() is None
+        finally:
+            gc.enable()
 
     @staticmethod
     def count_calls(monkeypatch, mode, overrides=()):
