@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -377,6 +377,10 @@ def arrowhead_eigensystem(alpha: float, d, z) -> ArrowheadEigensystem:
     O(N) in memory beyond fixed-size chunks.  ``d`` must increase
     strictly.  A block without continuum is 1 x 1, and one whose
     couplings are all zero is diagonal already; neither needs a solve.
+
+    Each distinct block is solved once per process: the result is
+    memoized by the exact bits of alpha, d and z, and every block asking
+    for the same bits shares it, so all its arrays are read-only.
     """
     d = np.asarray(d, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -385,20 +389,39 @@ def arrowhead_eigensystem(alpha: float, d, z) -> ArrowheadEigensystem:
                          f"{d.shape} and {z.shape}")
     if np.any(np.diff(d) <= 0.0):
         raise ValueError("pole energies d must increase strictly")
+    return _solve_block(np.concatenate(([alpha], d)).tobytes(), z.tobytes())
+
+
+# Blocks whose eigensystems the process keeps: the two blocks of four
+# models.  An entry, its key and the pole layout of the transforms
+# included, takes 48 KB for an li block (N = 801) and 69 KB for a fig4
+# block at its preset N = 1201, so a full memo stays under 0.6 MB.
+_EIGENSYSTEM_MEMO = 8
+
+
+@lru_cache(_EIGENSYSTEM_MEMO)
+def _solve_block(diagonal: bytes, couplings: bytes) -> ArrowheadEigensystem:
+    """The eigensystem of the block whose diagonal (alpha, then d) and
+    couplings z are these float64 bytes; d and z are read-only views of
+    the key, so the memo holds them once."""
+    diag = np.frombuffer(diagonal)
+    alpha, d, z = float(diag[0]), diag[1:], np.frombuffer(couplings)
     coupled = np.abs(z) > _Z_FLOOR
     poles, uncoupled = np.flatnonzero(coupled), np.flatnonzero(~coupled)
     if len(poles):
-        origin, mu, q0 = _secular_roots(float(alpha), d[poles], z[poles])
+        origin, mu, q0 = _secular_roots(alpha, d[poles], z[poles])
         origin = poles[origin]
         lam = d[origin] + mu
     else:
         origin, mu = np.array([-1]), np.zeros(1)
-        lam, q0 = np.array([float(alpha)]), np.ones(1)
-    return ArrowheadEigensystem(
-        lam=np.concatenate((lam, d[uncoupled])),
-        q0=np.concatenate((q0, np.zeros(len(uncoupled)))),
-        origin=np.concatenate((origin, uncoupled)),
-        mu=np.concatenate((mu, np.zeros(len(uncoupled)))), d=d, z=z)
+        lam, q0 = np.array([alpha]), np.ones(1)
+    arrays = (np.concatenate((lam, d[uncoupled])),
+              np.concatenate((q0, np.zeros(len(uncoupled)))),
+              np.concatenate((origin, uncoupled)),
+              np.concatenate((mu, np.zeros(len(uncoupled)))))
+    for array in arrays:
+        array.flags.writeable = False
+    return ArrowheadEigensystem(*arrays, d=d, z=z)
 
 
 @dataclass(frozen=True, eq=False)
@@ -467,9 +490,10 @@ class Hamiltonian:
         return CSRMatrix(mat.data, mat.indices, mat.indptr, mat.shape,
                          scipy.sparse._sparsetools.csr_matvec)
 
-    @cached_property
+    @property
     def eigensystems(self) -> tuple[ArrowheadEigensystem, ArrowheadEigensystem]:
-        """Eigensystems of the blocks {|1>, S} and {|2>, P} of dense(0)."""
+        """Eigensystems of the blocks {|1>, S} and {|2>, P} of dense(0),
+        from the process's memo (:func:`arrowhead_eigensystem`)."""
         return (arrowhead_eigensystem(self.diag[0], self.diag[self.s_block],
                                       self.m_s),
                 arrowhead_eigensystem(self.diag[1], self.diag[self.p_block],

@@ -116,11 +116,13 @@ class PropagationConfig:
             raise ValueError(f"residual_tol must be in (0, inf), got {self.residual_tol}")
         for key, value in (("propagation.dt_max", self.dt_max),
                            ("propagation.sample_stride", self.sample_dt)):
-            if value is not None and not value > 0:
+            if value is None:
+                continue
+            if not value > 0:
                 raise ValueError(f"{key} must be positive, got {value} au")
-        if self.dt_max and not self.T_total / self.dt_max < math.inf:
-            raise ValueError(f"propagation.dt_max = {self.dt_max} au is too "
-                             f"short to step T_total = {self.T_total} au")
+            if self.T_total + value == self.T_total:
+                raise ValueError(f"{key} = {value} au does not advance the "
+                                 f"clock at T_total = {self.T_total} au")
         if self.sample_dt is None:
             self.sample_dt = self.T_total / 400.0
         for s in self.snapshot_times:

@@ -498,6 +498,15 @@ class TestOtherCommands:
         assert err.count("\n") == 1
 
 
+# a step or a stride that does not advance the clock at T_total
+CLOCK_UNRESOLVED = [
+    "propagation.dt_max=5e-324 au",
+    "propagation.dt_max=1e-300 au",
+    "propagation.sample_stride=5e-324 au",
+    "propagation.sample_stride=1e-300 au",
+]
+
+
 class TestValidateAgreesWithRun:
     @pytest.mark.parametrize("override", [
         "propagation.residual_tol=-1",
@@ -524,12 +533,21 @@ class TestValidateAgreesWithRun:
         "model.tau1=inf fs",
         "propagation.dt_max=inf fs",
         "propagation.sample_stride=inf fs",
-        "propagation.dt_max=5e-324 au",  # T_total / dt_max overflows
+        *CLOCK_UNRESOLVED,
     ])
     def test_refused_by_both(self, override, tmp_path):
         args = ["--preset", "li", "--override", override]
         assert main(["validate", *args]) == 2
         assert main(["run", *args, "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("override", CLOCK_UNRESOLVED)
+    def test_clock_resolution_refusal_names_the_key(self, override, capsys):
+        key, value = override.split("=")
+        assert main(["validate", "--preset", "li", "--override",
+                     override]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert f"{key} = {value}" in line
+        assert "does not advance the clock" in line
 
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(3, 61),

@@ -4,7 +4,8 @@ scipy.linalg unloaded.  scipy.sparse loads inside
 ``Hamiltonian.static_csr``, with the first product, which only a run
 with square rotating-frame windows takes; so importing the package,
 ``validate``, a full-field run and a field-free run leave it unloaded
-too."""
+too.  Nor does planning solve a drive-free block: the eigensystem memo
+stays empty until a run propagates."""
 import ast
 import graphlib
 import os
@@ -71,16 +72,22 @@ def test_module_imports_are_acyclic():
         pytest.fail(f"import cycle: {' -> '.join(exc.args[1])}")
 
 
-def loaded_after(code: str, prefix: str) -> str:
-    """The sorted list, as printed, of the modules under ``prefix`` that
-    are loaded after running ``code`` in a fresh interpreter."""
+def printed_after(code: str, expression: str) -> str:
+    """``expression`` as printed after running ``code`` in a fresh
+    interpreter."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH")))))
-    code += (f"; print(sorted(m for m in sys.modules "
-             f"if m.startswith({prefix!r})))")
+    code += f"; print({expression})"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     return out.stdout.strip().splitlines()[-1]
+
+
+def loaded_after(code: str, prefix: str) -> str:
+    """The sorted list, as printed, of the modules under ``prefix`` that
+    are loaded after running ``code`` in a fresh interpreter."""
+    return printed_after(
+        code, f"sorted(m for m in sys.modules if m.startswith({prefix!r}))")
 
 
 def test_import_leaves_scipy_linalg_unloaded():
@@ -98,6 +105,17 @@ def test_import_and_validate_leave_scipy_sparse_unloaded():
     validate = ("import sys, zenoauger, zenoauger.cli; assert "
                 "zenoauger.cli.main(['validate', '--preset', 'li']) == 0")
     assert loaded_after(validate, "scipy.sparse") == "[]"
+
+
+def test_planning_solves_no_block():
+    # the eigensystem memo fills with the first propagation: importing,
+    # expanding, planning and validating never pay for a secular solve
+    code = ("import sys, zenoauger, zenoauger.cli; "
+            "cfg = zenoauger.preset_config('li'); "
+            "zenoauger.expand(cfg); zenoauger.plan(cfg); assert "
+            "zenoauger.cli.main(['validate', '--preset', 'li']) == 0")
+    assert printed_after(
+        code, "zenoauger.model._solve_block.cache_info().currsize") == "0"
 
 
 def test_full_field_run_leaves_scipy_sparse_unloaded():

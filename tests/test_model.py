@@ -6,6 +6,8 @@ import scipy.sparse
 from scipy.optimize import curve_fit
 
 import zenoauger as za
+import zenoauger.model as model
+from zenoauger.cli import main
 from zenoauger.model import arrowhead_eigensystem, density_of_states
 
 from conftest import random_state, small_system
@@ -298,6 +300,74 @@ class TestArrowheadEigensystem:
             arrowhead_eigensystem(0.0, [1.0, 1.0], [0.1, 0.1])
         with pytest.raises(ValueError, match="shapes"):
             arrowhead_eigensystem(0.0, [1.0, 2.0], [0.1])
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """The secular solves made after the memo is emptied, one entry (the
+    number of coupled poles) per solve."""
+    model._solve_block.cache_clear()
+    made = []
+    roots = model._secular_roots
+
+    def counting(alpha, d, z):
+        made.append(len(d))
+        return roots(alpha, d, z)
+
+    monkeypatch.setattr(model, "_secular_roots", counting)
+    yield made
+    model._solve_block.cache_clear()
+
+
+class TestEigensystemMemo:
+    """Each distinct block is solved once per process, and the memo's
+    eigensystems are safe to share between runs."""
+
+    FAST = ["model.N=201", "propagation.T_total=20 fs"]
+
+    def test_field_free_run_reuses_the_driven_runs_blocks(self, solves):
+        za.execute(za.preset_config("li", self.FAST))
+        za.execute(za.preset_config("li", [*self.FAST, "drive.mode=off"]))
+        assert solves == [201, 201]
+
+    def test_sweep_solves_its_model_once(self, solves, tmp_path):
+        overrides = [arg for key in self.FAST for arg in ("--override", key)]
+        assert main(["sweep", "--preset", "li", *overrides, "--out",
+                     str(tmp_path / "sweep"), "--axis", "t_m", "--values",
+                     "0.2,0.3,0.4", "--workers", "1"]) == 0
+        assert solves == [201, 201]
+
+    def test_results_are_read_only(self):
+        eig = arrowhead_eigensystem(*arrowhead_block("random"))
+        for name in ("lam", "q0", "origin", "mu", "d", "z"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(eig, name)[0] = 1.0
+
+    def test_results_share_no_memory_with_the_hamiltonian(self):
+        _, _, _, ham = small_system(n_points=31)
+        for eig in ham.eigensystems:
+            for ours in (eig.d, eig.z):
+                for theirs in (ham.diag, ham.m_s, ham.m_p):
+                    assert not np.shares_memory(ours, theirs)
+
+    def test_keyed_by_exact_content(self, solves):
+        alpha, d, z = arrowhead_block("random")
+        first = arrowhead_eigensystem(alpha, d, z)
+        assert arrowhead_eigensystem(alpha, d.copy(), list(z)) is first
+        moved = d.copy()
+        moved[30] = np.nextafter(moved[30], np.inf)
+        assert arrowhead_eigensystem(alpha, moved, z) is not first
+        assert arrowhead_eigensystem(0.0, d, z) is not arrowhead_eigensystem(
+            -0.0, d, z)
+        assert solves == [60, 60, 60, 60]
+
+    def test_memo_is_bounded(self, solves):
+        alpha, d, z = arrowhead_block("random")
+        for k in range(model._EIGENSYSTEM_MEMO + 3):
+            arrowhead_eigensystem(alpha + k, d, z)
+        info = model._solve_block.cache_info()
+        assert info.currsize == info.maxsize == model._EIGENSYSTEM_MEMO
+        assert len(solves) == model._EIGENSYSTEM_MEMO + 3
 
 
 class TestRotatingFrame:

@@ -9,6 +9,7 @@ import pytest
 import scipy.linalg
 
 import zenoauger as za
+import zenoauger.model as model
 import zenoauger.propagator as prop
 from zenoauger.drive import build_schedule, coupling_at
 from zenoauger.model import rotating_frame
@@ -353,6 +354,7 @@ class TestPropagate:
         for mode in ("pulsed", "off"):
             p = za.plan(za.preset_config("li", [f"drive.mode={mode}"]))
             ham = za.assemble(p.levels, p.grid_s, p.grid_p)
+            model._solve_block.cache_clear()  # a cold run solves its blocks
             tracemalloc.start()
             try:
                 prop.propagate(prop.initial_state(ham), ham, p.schedule,
