@@ -3,9 +3,9 @@
 A two-bound-state/two-continuum model driven by pulse trains: build the
 arrowhead Hamiltonian, propagate the time-dependent Schroedinger equation
 (exact flows in the eigenbasis of the drive-free blocks, split by a
-fourth-order scheme where the coupling varies; one Lanczos exponential
-per sample interval in square rotating-frame windows, where it is a
-nonzero constant), and extract effective lifetimes, time-resolved
+fourth-order scheme where the coupling varies; Lanczos exponentials,
+each read out at several samples, in square rotating-frame windows,
+where it is a nonzero constant), and extract effective lifetimes, time-resolved
 lineshapes, drive-induced line splittings and continuum mode-entanglement
 matrices.
 """

@@ -50,8 +50,13 @@ def _json_text(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = [f"{inner}{_json_text(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+        if all(isinstance(v, float) and not math.isinf(v) for v in obj):
+            # one format over the whole list, as format_float would give
+            body = ",\n".join([inner + FLOAT_FORMAT] * len(obj)) % tuple(obj)
+        else:
+            body = ",\n".join(f"{inner}{_json_text(v, indent + 1)}"
+                               for v in obj)
+        return "[\n" + body + "\n" + pad + "]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, int):

@@ -23,11 +23,14 @@ the bound populations.  Site amplitudes are computed
 sample, and the populations there are read from them.
 
 Runs whose windows hold a constant nonzero coupling (rotating-frame
-square windows) take one Lanczos exponential exp(-i H(t + dt/2) dt) v
-per sample interval, exact for any dt, built from the current state by
-the plain three-term recurrence (no reorthogonalization).  Its a
-posteriori residual has the final say: a step whose residual stays above
-tolerance is halved until it falls below.
+square windows) take Lanczos exponentials exp(-i H s) v, exact for any
+span over which H is constant, each space built from the state at one
+sample by the plain three-term recurrence (no reorthogonalization).  H
+is constant over each stretch of sample intervals that lie all inside or
+all outside the windows, and one space is read out at every following
+sample of the stretch whose a posteriori residual passes; a space that
+reaches no sample serves the longest dyadic fraction of its first
+interval that passes.
 
 Steps are laid out so that no step straddles a sample or a pulse-window
 edge, where the coupling is discontinuous.
@@ -35,6 +38,7 @@ edge, where the coupling is discontinuous.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -56,6 +60,10 @@ PULSE_STEP_FRACTION = 12.5
 CARRIER_STEP_FRACTION = 10.0
 RAMP_STEP_FRACTION = 2.0
 MAX_HALVINGS = 40
+# Most samples (T_total / sample_dt) or S6 steps (T_total / dt_max) that a
+# run may imply.  The longest preset run, fig3_* over 450 fs, implies 450
+# samples and about 1.1e4 S6 steps at its default step.
+MAX_COUNT = 1e7
 _BREAKDOWN = 1e-14
 # S6 flow lengths a_i and rotation lengths b_i as fractions of the step:
 # A(a1) B(b1) A(a2) B(b2) A(a3) B(b3) A(a4) B(b3) A(a3) B(b2) A(a2) B(b1) A(a1)
@@ -91,13 +99,15 @@ class PropagationConfig:
     window (full-field and ramped windows), :func:`drive_step_bound`
     (carrier/10, ramp/2 or t_pi/12.5) unless given.  It does not apply
     where the coupling is constant (field-free stretches, square
-    rotating-frame windows): one exact flow spans each sample interval
+    rotating-frame windows): exact flows span the sample intervals
     there.  ``krylov_dim`` and ``residual_tol`` configure the Lanczos
-    exponentials (:func:`evolve_interval`) of runs with square
-    rotating-frame windows; every other run takes no Krylov space.
+    spaces (:func:`evolve_interval`, each read out at as many samples as
+    its residual allows) of runs with square rotating-frame windows;
+    every other run takes no Krylov space.
     ``sample_dt`` is the observable output stride, T_total / 400 unless
     given (cycle boundaries and window edges are always sampled as well).
-    Snapshot times lie in [0, T_total].
+    A run may imply at most ``MAX_COUNT`` samples (T_total / sample_dt)
+    or S6 steps (T_total / dt_max).  Snapshot times lie in [0, T_total].
     """
 
     T_total: float
@@ -114,8 +124,9 @@ class PropagationConfig:
             raise ValueError(f"krylov_dim must be at least 4, got {self.krylov_dim}")
         if not 0 < self.residual_tol < math.inf:
             raise ValueError(f"residual_tol must be in (0, inf), got {self.residual_tol}")
-        for key, value in (("propagation.dt_max", self.dt_max),
-                           ("propagation.sample_stride", self.sample_dt)):
+        for key, value, counted in (
+                ("propagation.dt_max", self.dt_max, "S6 steps"),
+                ("propagation.sample_stride", self.sample_dt, "samples")):
             if value is None:
                 continue
             if not value > 0:
@@ -123,6 +134,11 @@ class PropagationConfig:
             if self.T_total + value == self.T_total:
                 raise ValueError(f"{key} = {value} au does not advance the "
                                  f"clock at T_total = {self.T_total} au")
+            if self.T_total / value > MAX_COUNT:
+                raise ValueError(
+                    f"{key} = {value} au implies {self.T_total / value:.3g} "
+                    f"{counted} over T_total = {self.T_total} au, above the "
+                    f"limit of {MAX_COUNT:.0e}")
         if self.sample_dt is None:
             self.sample_dt = self.T_total / 400.0
         for s in self.snapshot_times:
@@ -143,14 +159,24 @@ def drive_step_bound(schedule: PulseSchedule) -> float:
     return bound
 
 
-def _lanczos_expv(ham: Hamiltonian, g: complex, v: np.ndarray, dt: float,
-                  m_max: int, tol: float) -> tuple[np.ndarray, float, int]:
-    """exp(-i H dt) v in a Krylov space of dimension at most m_max.
+def _lanczos_expv(ham: Hamiltonian, g: complex, v: np.ndarray, dt,
+                  m_max: int, tol: float):
+    """exp(-i H s) v at each time s of dt, from one Krylov space of
+    dimension at most m_max.
 
-    Returns (result, residual estimate, dimension used).  A cheap running
-    product of the recurrence coefficients decides when the subspace is
-    plausibly converged; the tridiagonal exponential and its a posteriori
-    residual are only evaluated then, and the residual has the final say.
+    ``dt`` is one time, or an increasing array of positive times.  Per
+    time, a cheap running product of the recurrence coefficients decides
+    when the subspace is plausibly converged; the tridiagonal exponential
+    and its a posteriori residual s beta |u_j(s)| are only evaluated then,
+    and the residual has the final say.  The times are read out in order,
+    each at the first dimension whose residual passes, until one fails at
+    the largest dimension; so the times a space serves never depend on the
+    times after them.  One time returns (result, residual estimate,
+    dimension used), passed or not.  An array returns (states, residual,
+    halvings): the states at the leading times the space serves, or, if it
+    serves none, the state at the longest dyadic fraction dt[0] / 2**h of
+    the first time (h <= ``MAX_HALVINGS``) whose residual passes, and no
+    state if none does; the residual is the last one evaluated.
     The real scalings act on float64 views of the complex vectors and give
     the bits of the complex arithmetic without its temporaries: the two
     differ only in the sign of a zero, and w holds no -0 (the matvec sums
@@ -158,6 +184,8 @@ def _lanczos_expv(ham: Hamiltonian, g: complex, v: np.ndarray, dt: float,
     Smith's algorithm at ratio 0, is (re * (1/beta), im * (1/beta)), and
     subtracting the real a v leaves the same w as the complex one.
     """
+    times = np.atleast_1d(dt)
+    reach = np.abs(times)
     dim = len(v)
     m_cap = min(m_max, dim)
     basis = np.empty((m_cap + 1, dim), dtype=complex)
@@ -172,16 +200,26 @@ def _lanczos_expv(ham: Hamiltonian, g: complex, v: np.ndarray, dt: float,
     wf = w.view(float)
     wf -= np.multiply(flat[0], alphas[0], out=scratch)
 
-    abs_dt = abs(dt)
-    series = 1.0  # running prod(beta_i |dt| / i), tracks the truncation error
+    states = []
+    gate = 0.125 * tol
+    series = np.ones(len(times))  # running prod(beta_i |s| / i) per time
     for j in range(1, m_cap + 1):
         re, im = w.real, w.imag  # np.linalg.norm(w), term for term
         beta = math.sqrt(re.dot(re) + im.dot(im))
-        series *= beta * abs_dt / j
-        if series < 0.125 * tol or beta < _BREAKDOWN or j == m_cap:
-            u, err = _subspace_exp(alphas[:j], betas[1:j], dt, beta)
-            if err < tol or beta < _BREAKDOWN or j == m_cap:
-                return basis[:j].T @ u, err, j
+        series *= beta * reach / j
+        final = beta < _BREAKDOWN or j == m_cap
+        k = len(states)
+        if final or series[k] < gate:
+            lam, q = _tridiagonal_eigh(alphas[:j], betas[1:j])
+            while k < len(times) and (final or series[k] < gate):
+                u = q @ (np.exp(-1j * times[k] * lam) * q[0])
+                err = reach[k] * beta * abs(u[-1])
+                if not err < tol:
+                    break
+                states.append(basis[:j].T @ u)
+                k += 1
+            if final or k == len(times):
+                break
         betas[j] = beta
         np.multiply(wf, 1.0 / beta, out=flat[j])
         w = ham.apply(basis[j], g)
@@ -189,55 +227,68 @@ def _lanczos_expv(ham: Hamiltonian, g: complex, v: np.ndarray, dt: float,
         wf = w.view(float)
         wf -= np.multiply(flat[j], alphas[j], out=scratch)
         wf -= np.multiply(flat[j - 1], beta, out=scratch)
-    raise AssertionError("unreachable: loop always returns at j == m_cap")
+
+    if np.ndim(dt) == 0:
+        return (states[0] if states else basis[:j].T @ u), err, j
+    if states:
+        return states, err, 0
+    for halvings in range(1, MAX_HALVINGS + 1):
+        s = math.ldexp(times[0], -halvings)
+        u = q @ (np.exp(-1j * s * lam) * q[0])
+        err = s * beta * abs(u[-1])
+        if err < tol:
+            return [basis[:j].T @ u], err, halvings
+    return [], err, MAX_HALVINGS
 
 
-def _subspace_exp(alphas: np.ndarray, betas: np.ndarray, dt: float,
-                  beta_next: float) -> tuple[np.ndarray, float]:
-    """First column of exp(-i dt T) for tridiagonal T, plus residual estimate."""
+def _tridiagonal_eigh(alphas: np.ndarray,
+                      betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of the tridiagonal Lanczos matrix."""
     m = len(alphas)
     tri = np.zeros((m, m))
     entries = tri.reshape(-1)  # a view: every (m + 1)-th entry is diagonal
     entries[::m + 1] = alphas
     entries[1::m + 1] = betas
     entries[m::m + 1] = betas
-    lam, q = np.linalg.eigh(tri)
-    u = q @ (np.exp(-1j * dt * lam) * q[0])
-    err = abs(dt) * beta_next * abs(u[-1])
-    return u, err
+    return np.linalg.eigh(tri)
 
 
-def evolve_interval(vec: np.ndarray, t0: float, t1: float, ham: Hamiltonian,
+def evolve_interval(vec: np.ndarray, t0: float, t1, ham: Hamiltonian,
                     schedule: PulseSchedule, *,
                     krylov_dim: int = PropagationConfig.krylov_dim,
-                    residual_tol: float = PropagationConfig.residual_tol
-                    ) -> np.ndarray:
-    """exp(-i H((t0 + t1)/2) (t1 - t0)) vec; exact for any span over
-    which H is constant, and [t0, t1) must not straddle a pulse-window
-    edge (:func:`propagate` arranges its intervals accordingly).
+                    residual_tol: float = PropagationConfig.residual_tol):
+    """exp(-i H (t - t0)) vec at t = t1, or at the leading times t of an
+    increasing array t1 that one Lanczos space reaches; exact for any span
+    over which H is constant, and [t0, t1) must not straddle a
+    pulse-window edge (:func:`propagate` arranges its stretches
+    accordingly).  Returns the state at t1, or the list of the states at
+    the times reached, from which the caller goes on.
 
-    A step whose residual fails is replaced by its two halves, the first
-    taken first, each at its own midpoint coupling, at most
-    ``MAX_HALVINGS`` deep.
+    Each space starts from the state at the last time reached, reads the
+    coupling once, at the midpoint of its first interval, and serves every
+    leading time it reaches (:func:`_lanczos_expv`).  A space that reaches
+    none serves the longest dyadic fraction of its first interval that
+    passes, at most ``MAX_HALVINGS`` halvings deep, and the next space
+    starts there.
     """
-    if not t1 > t0:
+    stops = np.atleast_1d(np.asarray(t1, dtype=float))
+    if not (stops[0] > t0 and np.all(np.diff(stops) > 0)):
         raise ValueError(f"t1 must exceed t0, got [{t0}, {t1}]")
-    pending = [(t0, t1 - t0, 0)]  # (start, length, halvings), last first
-    while pending:
-        t, dt, depth = pending.pop()
-        g = coupling_at(schedule, t + 0.5 * dt)
-        out, err, _ = _lanczos_expv(ham, g, vec, dt, krylov_dim, residual_tol)
-        if err < residual_tol:
-            vec = out
-            continue
-        if depth >= MAX_HALVINGS:
+    t = t0
+    while True:
+        ahead = stops - t
+        g = coupling_at(schedule, float(t + 0.5 * ahead[0]))
+        reached, err, halvings = _lanczos_expv(ham, g, vec, ahead,
+                                               krylov_dim, residual_tol)
+        if not reached:
             raise ConvergenceError(
                 f"Krylov residual {err:.3e} above tolerance {residual_tol:.3e} "
-                f"at t = {t:.6g} after {depth} step halvings"
+                f"at t = {t:.6g} after {halvings} step halvings"
             )
-        half = 0.5 * dt
-        pending += ((t + half, half, depth + 1), (t, half, depth + 1))
-    return vec
+        if not halvings:
+            return reached if np.ndim(t1) else reached[0]
+        (vec,) = reached
+        t += math.ldexp(ahead[0], -halvings)
 
 
 class _Split:
@@ -355,7 +406,8 @@ def propagate(psi0: StateVector, ham: Hamiltonian, schedule: PulseSchedule,
     """Propagate and record populations and snapshot states.
 
     Runs whose windows hold a constant nonzero coupling (square
-    rotating-frame windows) take one Lanczos exponential per sample.
+    rotating-frame windows) take Lanczos exponentials, each read out at
+    as many samples of its stretch of constant H as its residual allows.
     Every other run is stepped in block eigencoordinates: S6 steps of at
     most dt_max (default :func:`drive_step_bound`) inside windows and one
     phase flow per sample elsewhere.  Every pulse edge is a step
@@ -405,15 +457,24 @@ def propagate(psi0: StateVector, ham: Hamiltonian, schedule: PulseSchedule,
 def _krylov_samples(psi0: StateVector, ham: Hamiltonian,
                     schedule: PulseSchedule, times: np.ndarray,
                     config: PropagationConfig):
-    """The state at each sample time: one Lanczos exponential per sample
-    interval, over which H is constant."""
+    """The state at each sample time.  H is constant over each stretch of
+    sample intervals whose midpoints lie all inside or all outside the
+    windows; each :func:`evolve_interval` call goes as far into the
+    stretch as one Lanczos space reaches."""
     vec = psi0.data
     yield vec
-    for t0, t in zip(times[:-1], times[1:]):
-        vec = evolve_interval(vec, t0, t, ham, schedule,
-                              krylov_dim=config.krylov_dim,
-                              residual_tol=config.residual_tol)
-        yield vec
+    inside = [envelope_at(schedule, 0.5 * (t0 + t)) > 0.0
+              for t0, t in zip(times[:-1], times[1:])]
+    a = 0
+    for _, stretch in itertools.groupby(inside):
+        end = a + len(list(stretch))
+        while a < end:
+            states = evolve_interval(vec, times[a], times[a + 1:end + 1], ham,
+                                     schedule, krylov_dim=config.krylov_dim,
+                                     residual_tol=config.residual_tol)
+            yield from states
+            vec = states[-1]
+            a += len(states)
 
 
 def _split_samples(psi0: StateVector, ham: Hamiltonian,

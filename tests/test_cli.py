@@ -534,6 +534,9 @@ class TestValidateAgreesWithRun:
         "propagation.dt_max=inf fs",
         "propagation.sample_stride=inf fs",
         *CLOCK_UNRESOLVED,
+        # each implies about 4e15 steps or samples over li's 100 fs
+        "propagation.dt_max=1e-12 au",
+        "propagation.sample_stride=1e-12 au",
     ])
     def test_refused_by_both(self, override, tmp_path):
         args = ["--preset", "li", "--override", override]

@@ -114,42 +114,46 @@ class TestStep:
                 prop.evolve_interval(prop.initial_state(ham).data, 0.0, t1,
                                      ham, sched)
 
-    def test_failed_step_is_redone_as_halves_in_time_order(self, monkeypatch):
-        # each attempt reads the coupling at its own midpoint; the accepted
-        # attempts tile [t0, t1) in time order, and the result is their
-        # product of dense exponentials
+    def test_unreached_interval_is_served_in_dyadic_pieces_in_time_order(
+            self, monkeypatch):
+        # H is constant in a square rotating-frame window: a space that
+        # reaches no sample serves the longest dyadic fraction of its first
+        # interval that passes, and the next space starts there.  Each
+        # space reads the coupling at the midpoint of what is left; the
+        # pieces tile [t0, t1) in time order, no exponential's result is
+        # dropped, and the result is one dense exponential over [t0, t1)
         _, _, _, ham = small_system(n_points=31)
-        sched = make_schedule(900.0)
-        attempts = []
+        sched = make_schedule(900.0, mode="rwa_pulsed")
+        t0, t1 = 3.0, 23.0
+        assert sched.windows[0, 0] <= t0 < t1 <= sched.windows[0, 1]
+        reads, pieces = [], []
         coupling, expv = prop.coupling_at, prop._lanczos_expv
 
         def traced_coupling(schedule, t):
-            attempts.append([t])
+            reads.append(t)
             return coupling(schedule, t)
 
         def traced_expv(ham_, g, v, dt, m_max, tol):
-            out = expv(ham_, g, v, dt, m_max, tol)
-            attempts[-1] += [dt, out[1] < tol]
-            return out
+            states, err, halvings = expv(ham_, g, v, dt, m_max, tol)
+            assert len(states) == 1
+            pieces.append(math.ldexp(dt[0], -halvings))
+            return states, err, halvings
 
         monkeypatch.setattr(prop, "coupling_at", traced_coupling)
         monkeypatch.setattr(prop, "_lanczos_expv", traced_expv)
         vec = random_state(ham, 5)
-        t0, t1 = 3.0, 23.0
         out = prop.evolve_interval(vec.copy(), t0, t1, ham, sched,
                                    krylov_dim=6, residual_tol=1e-12)
-        assert attempts[0][:2] == [0.5 * (t0 + t1), t1 - t0]
-        assert not attempts[0][2]
-        accepted = [(mid, dt) for mid, dt, ok in attempts if ok]
-        assert len(accepted) < len(attempts)
+        assert len(reads) == len(pieces) > 2
+        assert reads[0] == 0.5 * (t0 + t1)
         start = t0
-        exact = vec
-        for mid, dt in accepted:
-            assert mid - 0.5 * dt == pytest.approx(start, abs=1e-12)
-            start += dt
-            exact = scipy.linalg.expm(
-                -1j * dt * ham.dense(coupling(sched, mid))) @ exact
+        for read, piece in zip(reads, pieces):
+            assert read == pytest.approx(0.5 * (start + t1), abs=1e-12)
+            assert 0 < piece <= t1 - start + 1e-12
+            start += piece
         assert start == pytest.approx(t1, abs=1e-12)
+        exact = scipy.linalg.expm(
+            -1j * (t1 - t0) * ham.dense(coupling(sched, reads[0]))) @ vec
         assert np.max(np.abs(out - exact)) < 1e-10
 
     def test_nonconvergence_raises_named_diagnostic(self, monkeypatch):
@@ -313,21 +317,26 @@ class TestPropagate:
     def test_samples_do_not_depend_on_t_total(self):
         # a sample's bits do not depend on how many samples follow it: at
         # T_total = 100 fs, 100 fs is the last sample of the run, and in
-        # both runs a snapshot whose site amplitudes are transformed alone
-        def trace(t_total_fs):
+        # both runs a snapshot whose site amplitudes are transformed alone.
+        # li's last window is clipped at both 100 and 101 fs, so in the
+        # rotating frame a Lanczos space that reached past 100 fs in the
+        # longer run must give the same states up to 100 fs
+        def trace(mode, t_total_fs):
             return za.execute(za.preset_config("li", overrides=[
-                f"propagation.T_total={t_total_fs} fs",
+                f"drive.mode={mode}", f"propagation.T_total={t_total_fs} fs",
                 "propagation.spectrum_snapshot_times=100 fs"])).trace
 
-        short, long = trace(100), trace(101)
-        shared = np.flatnonzero(np.isin(long.times, short.times))
-        assert np.array_equal(long.times[shared], short.times)
-        for name in ("n_c", "P1", "P2"):
-            assert np.array_equal(getattr(long, name)[shared],
-                                  getattr(short, name))
-        (state,) = short.states
-        (twin,) = [s for s in long.states if s.time_stamp == state.time_stamp]
-        assert np.array_equal(twin.data, state.data)
+        for mode in ("pulsed", "rwa_pulsed"):
+            short, long = trace(mode, 100), trace(mode, 101)
+            shared = np.flatnonzero(np.isin(long.times, short.times))
+            assert np.array_equal(long.times[shared], short.times)
+            for name in ("n_c", "P1", "P2"):
+                assert np.array_equal(getattr(long, name)[shared],
+                                      getattr(short, name)), (mode, name)
+            (state,) = short.states
+            (twin,) = [s for s in long.states
+                       if s.time_stamp == state.time_stamp]
+            assert np.array_equal(twin.data, state.data), mode
 
     @pytest.mark.parametrize("mode", ["pulsed", "off", "rwa_pulsed"])
     def test_snapshots_match_their_samples(self, mode):
@@ -432,15 +441,44 @@ class TestPropagate:
         trace = za.execute(cfg).trace
         return calls["coupling"], calls["expv"], calls["s6"], trace
 
-    def test_square_rwa_run_takes_one_exponential_per_sample(self, monkeypatch):
-        # H is constant in a square rotating-frame window: dt_max does not
-        # apply there, and the run stays on the Krylov path
+    def test_square_rwa_run_serves_several_samples_per_exponential(
+            self, monkeypatch):
+        # H is constant in a square rotating-frame window: one Lanczos space
+        # serves several samples, dt_max does not apply there, and the run
+        # stays on the Krylov path
+        counts = []
         for overrides in ([], ["propagation.dt_max=3 au"]):
             with monkeypatch.context() as patch:
                 couplings, exponentials, steps, trace = self.count_calls(
                     patch, "rwa_pulsed", overrides)
-            assert couplings == exponentials == len(trace.times) - 1
+            assert couplings == exponentials < len(trace.times) - 1
             assert steps == 0
+            counts.append((exponentials, trace.P1))
+        (plain, p1), (pinned, pinned_p1) = counts
+        assert plain == pinned and np.array_equal(p1, pinned_p1)
+
+    def test_square_rwa_run_keeps_every_exponential(self, monkeypatch):
+        # fig3_circles' 1 fs sample intervals are longer than one 16-vector
+        # space reaches: each such space serves a dyadic fraction of its
+        # first interval instead, and every state an exponential returns is
+        # a sample or the start of the next space.  Redoing a failed step
+        # as halves took 63 exponentials here, 15 of them thrown away
+        returned = []
+        expv = prop._lanczos_expv
+
+        def counting(*args):
+            states, err, halvings = expv(*args)
+            returned.append((len(states), halvings))
+            return states, err, halvings
+
+        monkeypatch.setattr(prop, "_lanczos_expv", counting)
+        trace = za.execute(za.preset_config("fig3_circles", overrides=[
+            "drive.mode=rwa_pulsed", "propagation.T_total=20 fs"])).trace
+        assert all(n == 1 for n, halvings in returned if halvings)
+        assert sum(n for n, halvings in returned
+                   if not halvings) == len(trace.times) - 1
+        assert any(halvings for _, halvings in returned)
+        assert len(returned) < 63
 
     def test_dt_max_replaces_the_drive_step_bound(self, monkeypatch):
         # a dt_max above the built-in bound sets the S6 step; it does not
@@ -526,9 +564,19 @@ class TestPropagate:
         for coarse, fine in zip(errors, errors[1:]):
             assert 12.0 <= coarse / fine <= 20.0
 
-    def test_rwa_pulse_train_matches_dense_products(self):
+    def test_rwa_pulse_train_matches_dense_products(self, monkeypatch):
         # dimension 40; the oracle steps the same piecewise-constant H with
-        # scipy's dense expm, taking g from the window list directly
+        # scipy's dense expm, taking g from the window list directly.  Some
+        # Lanczos space serves two or more samples
+        served = []
+        expv = prop._lanczos_expv
+
+        def counting(*args):
+            states, err, halvings = expv(*args)
+            served.append(0 if halvings else len(states))
+            return states, err, halvings
+
+        monkeypatch.setattr(prop, "_lanczos_expv", counting)
         levels, _, _, ham = small_system(n_points=19)
         Omega, delta = za.ev_to_au(4.0), za.ev_to_au(0.2)
         omega = levels.E2 - levels.E1 + delta
@@ -553,6 +601,7 @@ class TestPropagate:
             assert abs(trace.P2[i] - abs(vec[1]) ** 2) < 1e-9
             assert abs(trace.n_c[i] - np.sum(abs(vec[2:]) ** 2)) < 1e-9
         assert np.max(np.abs(trace.final_state.data - vec)) < 1e-9
+        assert max(served) >= 2
 
     def test_config_validation(self):
         for T in (0.0, math.inf):
@@ -573,6 +622,14 @@ class TestPropagate:
                 prop.PropagationConfig(T_total=1.0, dt_max=bad)
             with pytest.raises(ValueError, match="propagation.sample_stride"):
                 prop.PropagationConfig(T_total=1.0, sample_dt=bad)
+        # at most MAX_COUNT samples or S6 steps per run
+        limit = 1.0 / prop.MAX_COUNT
+        prop.PropagationConfig(T_total=1.0, dt_max=limit, sample_dt=limit)
+        with pytest.raises(ValueError, match="propagation.dt_max = .* S6 steps"):
+            prop.PropagationConfig(T_total=1.0, dt_max=0.5 * limit)
+        with pytest.raises(ValueError,
+                           match="propagation.sample_stride = .* samples"):
+            prop.PropagationConfig(T_total=1.0, sample_dt=0.5 * limit)
 
 
 class TestDriveStepBound:
@@ -596,17 +653,24 @@ class TestDriveStepBound:
 
     @pytest.mark.parametrize("mode", ["rwa_pulsed", "rwa_continuous"])
     def test_no_bound_for_square_rwa_windows(self, mode, monkeypatch):
-        # H is constant in a square rotating-frame window: one exponential
-        # spans each sample interval, whatever dt_max says
-        for overrides in ([],
-                          ["drive.envelope=cosine_ramp", "drive.ramp=0 fs"],
-                          ["drive.envelope=square", "drive.ramp=2 fs"]):
+        # H is constant in a square rotating-frame window: one Lanczos
+        # space serves several sample intervals, whatever dt_max says, and
+        # the run is the same with and without dt_max
+        pinned = "propagation.dt_max=3 au"
+        counts = []
+        for overrides in ([], [pinned],
+                          [pinned, "drive.envelope=cosine_ramp",
+                           "drive.ramp=0 fs"],
+                          [pinned, "drive.envelope=square", "drive.ramp=2 fs"]):
             with monkeypatch.context() as patch:
                 couplings, exponentials, steps, trace = (
-                    TestPropagate.count_calls(
-                        patch, mode, ["propagation.dt_max=3 au", *overrides]))
-            assert couplings == exponentials == len(trace.times) - 1
+                    TestPropagate.count_calls(patch, mode, overrides))
+            assert couplings == exponentials < len(trace.times) - 1
             assert steps == 0
+            counts.append((exponentials, trace.P1))
+        for exponentials, p1 in counts[1:]:
+            assert exponentials == counts[0][0]
+            assert np.array_equal(p1, counts[0][1])
 
     def test_negative_carrier_keeps_carrier_bound(self):
         assert (prop.drive_step_bound(make_schedule(1000.0, omega_ev=-10.0))

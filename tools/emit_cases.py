@@ -56,6 +56,9 @@ RUNS = {
     "fig4": ("fig4", []),
     "fig3_circles": ("fig3_circles", ["propagation.T_total=20 fs"]),
     "fig3_squares": ("fig3_squares", ["propagation.T_total=20 fs"]),
+    # 1 fs samples, longer than one Lanczos space reaches: dyadic pieces
+    "fig3_circles_rwa": ("fig3_circles", [
+        "drive.mode=rwa_pulsed", "propagation.T_total=20 fs"]),
     "li_N41": ("li", [N41]),
 }
 VALIDATIONS = {"validate_li": [], "validate_li_N41": [N41]}
