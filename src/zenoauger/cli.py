@@ -123,7 +123,6 @@ def _summary(result) -> dict:
             for region, values in result.splittings.items()
         },
         "norm_error": result.trace.norm_error(),
-        "sum_rule_error": result.trace.sum_rule_error(),
         "warnings": list(result.warnings),
     }
 

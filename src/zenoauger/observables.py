@@ -73,11 +73,6 @@ class ObservableTrace:
         """Largest deviation of P_bound + n_c from 1 over the trace."""
         return float(np.max(np.abs(self.P_bound + self.n_c - 1.0)))
 
-    def sum_rule_error(self) -> float:
-        """Largest deviation of the two-electron sum rule from 2."""
-        total = self.n_c + self.n_v1 + self.n_v2 + self.n_v3 + self.n_c
-        return float(np.max(np.abs(total - 2.0)))
-
 
 def orbital_populations(psi: StateVector):
     """Orbital occupations from the two-particle amplitudes.

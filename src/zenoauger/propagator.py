@@ -25,12 +25,13 @@ sample, and the populations there are read from them.
 Runs whose windows hold a constant nonzero coupling (rotating-frame
 square windows) take Lanczos exponentials exp(-i H s) v, exact for any
 span over which H is constant, each space built from the state at one
-sample by the plain three-term recurrence (no reorthogonalization).  H
-is constant over each stretch of sample intervals that lie all inside or
-all outside the windows, and one space is read out at every following
-sample of the stretch whose a posteriori residual passes; a space that
-reaches no sample serves the longest dyadic fraction of its first
-interval that passes.
+sample by the plain three-term recurrence (no reorthogonalization) to
+``krylov_dim`` vectors, fewer only at breakdown, and its tridiagonal
+matrix diagonalised once.  H is constant over each stretch of sample
+intervals that lie all inside or all outside the windows, and one space
+is read out at every following sample of the stretch whose a posteriori
+residual passes; a space that reaches no sample serves the longest
+dyadic fraction of its first interval that passes.
 
 Steps are laid out so that no step straddles a sample or a pulse-window
 edge, where the coupling is discontinuous.
@@ -103,7 +104,10 @@ class PropagationConfig:
     there.  ``krylov_dim`` and ``residual_tol`` configure the Lanczos
     spaces (:func:`evolve_interval`, each read out at as many samples as
     its residual allows) of runs with square rotating-frame windows;
-    every other run takes no Krylov space.
+    every other run takes no Krylov space.  ``krylov_dim`` is the size of
+    every space, fewer only where the recurrence breaks down, not a cap:
+    each vector costs one product with H, so raising it slows every
+    space.
     ``sample_dt`` is the observable output stride, T_total / 400 unless
     given (cycle boundaries and window edges are always sampled as well).
     A run may imply at most ``MAX_COUNT`` samples (T_total / sample_dt)
@@ -162,21 +166,20 @@ def drive_step_bound(schedule: PulseSchedule) -> float:
 def _lanczos_expv(ham: Hamiltonian, g: complex, v: np.ndarray, dt,
                   m_max: int, tol: float):
     """exp(-i H s) v at each time s of dt, from one Krylov space of
-    dimension at most m_max.
+    dimension min(m_max, len(v)), smaller only where the recurrence breaks
+    down.
 
-    ``dt`` is one time, or an increasing array of positive times.  Per
-    time, a cheap running product of the recurrence coefficients decides
-    when the subspace is plausibly converged; the tridiagonal exponential
-    and its a posteriori residual s beta |u_j(s)| are only evaluated then,
-    and the residual has the final say.  The times are read out in order,
-    each at the first dimension whose residual passes, until one fails at
-    the largest dimension; so the times a space serves never depend on the
-    times after them.  One time returns (result, residual estimate,
-    dimension used), passed or not.  An array returns (states, residual,
-    halvings): the states at the leading times the space serves, or, if it
-    serves none, the state at the longest dyadic fraction dt[0] / 2**h of
-    the first time (h <= ``MAX_HALVINGS``) whose residual passes, and no
-    state if none does; the residual is the last one evaluated.
+    ``dt`` is one time, or an increasing array of positive times.  The
+    space is built first and its tridiagonal matrix diagonalised once;
+    the times are then read out in order while each one's a posteriori
+    residual s beta |u_j(s)| passes.  Only m_max sizes the space, so the
+    times a space serves, and their bits, never depend on the times after
+    them.  One time returns (result, residual estimate, dimension), passed
+    or not.  An array returns (states, residual, halvings): the states at
+    the leading times the space serves, or, if it serves none, the state
+    at the longest dyadic fraction dt[0] / 2**h of the first time
+    (h <= ``MAX_HALVINGS``) whose residual passes, and no state if none
+    does; the residual is the last one evaluated.
     The real scalings act on float64 views of the complex vectors and give
     the bits of the complex arithmetic without its temporaries: the two
     differ only in the sign of a zero, and w holds no -0 (the matvec sums
@@ -185,41 +188,24 @@ def _lanczos_expv(ham: Hamiltonian, g: complex, v: np.ndarray, dt,
     subtracting the real a v leaves the same w as the complex one.
     """
     times = np.atleast_1d(dt)
-    reach = np.abs(times)
     dim = len(v)
     m_cap = min(m_max, dim)
-    basis = np.empty((m_cap + 1, dim), dtype=complex)
+    basis = np.empty((m_cap, dim), dtype=complex)
     basis[0] = v
     flat = basis.view(float)  # real and imaginary parts interleaved
     scratch = np.empty(2 * dim)
-    alphas = np.empty(m_cap + 1)
-    betas = np.empty(m_cap + 1)
+    alphas = np.empty(m_cap)
+    betas = np.empty(m_cap)
 
     w = ham.apply(basis[0], g)
     alphas[0] = np.vdot(basis[0], w).real
     wf = w.view(float)
     wf -= np.multiply(flat[0], alphas[0], out=scratch)
-
-    states = []
-    gate = 0.125 * tol
-    series = np.ones(len(times))  # running prod(beta_i |s| / i) per time
     for j in range(1, m_cap + 1):
         re, im = w.real, w.imag  # np.linalg.norm(w), term for term
         beta = math.sqrt(re.dot(re) + im.dot(im))
-        series *= beta * reach / j
-        final = beta < _BREAKDOWN or j == m_cap
-        k = len(states)
-        if final or series[k] < gate:
-            lam, q = _tridiagonal_eigh(alphas[:j], betas[1:j])
-            while k < len(times) and (final or series[k] < gate):
-                u = q @ (np.exp(-1j * times[k] * lam) * q[0])
-                err = reach[k] * beta * abs(u[-1])
-                if not err < tol:
-                    break
-                states.append(basis[:j].T @ u)
-                k += 1
-            if final or k == len(times):
-                break
+        if beta < _BREAKDOWN or j == m_cap:
+            break
         betas[j] = beta
         np.multiply(wf, 1.0 / beta, out=flat[j])
         w = ham.apply(basis[j], g)
@@ -227,6 +213,15 @@ def _lanczos_expv(ham: Hamiltonian, g: complex, v: np.ndarray, dt,
         wf = w.view(float)
         wf -= np.multiply(flat[j], alphas[j], out=scratch)
         wf -= np.multiply(flat[j - 1], beta, out=scratch)
+
+    lam, q = _tridiagonal_eigh(alphas[:j], betas[1:j])
+    states = []
+    for s in times:
+        u = q @ (np.exp(-1j * s * lam) * q[0])
+        err = abs(s) * beta * abs(u[-1])
+        if not err < tol:
+            break
+        states.append(basis[:j].T @ u)
 
     if np.ndim(dt) == 0:
         return (states[0] if states else basis[:j].T @ u), err, j

@@ -229,13 +229,14 @@ def test_criterion_09_solver_correctness(li_baseline, li_point_a, li_point_b,
     runs = [li_baseline, li_point_a, li_point_b, *li_plus_pair, stark_run,
             lineshape_run, *(r for _, r in monotonicity_runs),
             *(r for _, r in ceiling_runs), *strong_drive_pair]
+    # the two-electron sum rule, n_c + n_v1 + n_v2 + n_v3 + n_c = 2, is
+    # twice the norm: its error is exactly 2 * norm_error
     norm_drift = max(r.trace.norm_error() for r in runs)
-    sum_rule = max(r.trace.sum_rule_error() for r in runs)
-    ok = worst < 1e-10 and norm_drift < 1e-9 and sum_rule < 1e-9
+    ok = worst < 1e-10 and norm_drift < 5e-10
     report(9, ok,
            f"Krylov vs dense (dim 128) max error {worst:.2e} < 1e-10; "
-           f"worst norm drift {norm_drift:.2e} < 1e-9; worst sum-rule "
-           f"error {sum_rule:.2e} < 1e-9 over {len(runs)} acceptance runs")
+           f"worst norm drift {norm_drift:.2e} < 5e-10 over {len(runs)} "
+           f"acceptance runs")
 
 
 def test_criterion_10_pi_pulse_transfer():

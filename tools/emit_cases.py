@@ -53,6 +53,8 @@ RUNS = {
     "li_rwa_ramp": ("li", [T30, *RAMP, "drive.mode=rwa_pulsed"]),
     "li_rwa_continuous_ramp": ("li", [T30, *RAMP, "drive.mode=rwa_continuous"]),
     "li_plus": ("li_plus", []),
+    # the Krylov run with the most samples per Lanczos space
+    "li_plus_rwa": ("li_plus", ["drive.mode=rwa_pulsed"]),
     "fig4": ("fig4", []),
     "fig3_circles": ("fig3_circles", ["propagation.T_total=20 fs"]),
     "fig3_squares": ("fig3_squares", ["propagation.T_total=20 fs"]),
