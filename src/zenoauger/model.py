@@ -272,9 +272,11 @@ class ArrowheadEigensystem:
         x = np.asarray(sites, dtype=complex)
         x2 = x.reshape(len(x), -1)
         acc = np.zeros((n_roots, 2 * x2.shape[1]))
-        for chunk, inv in self._inverse_gaps():
-            weighted = self.z[chunk, None] * x2[1 + chunk]
-            acc += inv.T @ weighted.view(float)
+        # an empty continuum would add only signed zeros to acc's +0
+        if x2[1:].any():
+            for chunk, inv in self._inverse_gaps():
+                weighted = self.z[chunk, None] * x2[1 + chunk]
+                acc += inv.T @ weighted.view(float)
         out = np.empty_like(x2)
         out[:n_roots] = self.q0[:n_roots, None] * (x2[0] + acc.view(complex))
         out[n_roots:] = x2[1 + uncoupled]

@@ -65,6 +65,9 @@ MAX_HALVINGS = 40
 # run may imply.  The longest preset run, fig3_* over 450 fs, implies 450
 # samples and about 1.1e4 S6 steps at its default step.
 MAX_COUNT = 1e7
+# Largest Lanczos space, eight times the default: a space stores its whole
+# basis, krylov_dim vectors of the model's dimension.
+MAX_KRYLOV_DIM = 256
 _BREAKDOWN = 1e-14
 # S6 flow lengths a_i and rotation lengths b_i as fractions of the step:
 # A(a1) B(b1) A(a2) B(b2) A(a3) B(b3) A(a4) B(b3) A(a3) B(b2) A(a2) B(b1) A(a1)
@@ -106,8 +109,12 @@ class PropagationConfig:
     its residual allows) of runs with square rotating-frame windows;
     every other run takes no Krylov space.  ``krylov_dim`` is the size of
     every space, fewer only where the recurrence breaks down, not a cap:
-    each vector costs one product with H, so raising it slows every
-    space.
+    each vector costs one product with H, but a space's reach grows
+    faster than its size, so the default of 32 takes fewer products per
+    sample than 16 on every Krylov preset; a larger space saves few
+    products more and pays for them in its tridiagonal solve and
+    read-outs.  It may be at most ``MAX_KRYLOV_DIM``: each space holds
+    ``krylov_dim`` vectors of the model's dimension.
     ``sample_dt`` is the observable output stride, T_total / 400 unless
     given (cycle boundaries and window edges are always sampled as well).
     A run may imply at most ``MAX_COUNT`` samples (T_total / sample_dt)
@@ -117,15 +124,16 @@ class PropagationConfig:
     T_total: float
     dt_max: float | None = None
     sample_dt: float | None = None
-    krylov_dim: int = 16
+    krylov_dim: int = 32
     residual_tol: float = 1e-10
     snapshot_times: tuple[float, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
         if not 0 < self.T_total < math.inf:
             raise ValueError(f"T_total must be positive and finite, got {self.T_total}")
-        if self.krylov_dim < 4:
-            raise ValueError(f"krylov_dim must be at least 4, got {self.krylov_dim}")
+        if not 4 <= self.krylov_dim <= MAX_KRYLOV_DIM:
+            raise ValueError(f"propagation.krylov_dim must lie in "
+                             f"[4, {MAX_KRYLOV_DIM}], got {self.krylov_dim}")
         if not 0 < self.residual_tol < math.inf:
             raise ValueError(f"residual_tol must be in (0, inf), got {self.residual_tol}")
         for key, value, counted in (
@@ -163,23 +171,21 @@ def drive_step_bound(schedule: PulseSchedule) -> float:
     return bound
 
 
-def _lanczos_expv(ham: Hamiltonian, g: complex, v: np.ndarray, dt,
-                  m_max: int, tol: float):
-    """exp(-i H s) v at each time s of dt, from one Krylov space of
-    dimension min(m_max, len(v)), smaller only where the recurrence breaks
-    down.
+def _lanczos_expv(ham: Hamiltonian, g: complex, v: np.ndarray,
+                  times: np.ndarray, m_max: int, tol: float):
+    """exp(-i H s) v at each time s of an increasing array of positive
+    times, from one Krylov space of dimension min(m_max, len(v)), smaller
+    only where the recurrence breaks down.
 
-    ``dt`` is one time, or an increasing array of positive times.  The
-    space is built first and its tridiagonal matrix diagonalised once;
-    the times are then read out in order while each one's a posteriori
-    residual s beta |u_j(s)| passes.  Only m_max sizes the space, so the
-    times a space serves, and their bits, never depend on the times after
-    them.  One time returns (result, residual estimate, dimension), passed
-    or not.  An array returns (states, residual, halvings): the states at
-    the leading times the space serves, or, if it serves none, the state
-    at the longest dyadic fraction dt[0] / 2**h of the first time
-    (h <= ``MAX_HALVINGS``) whose residual passes, and no state if none
-    does; the residual is the last one evaluated.
+    The space is built first and its tridiagonal matrix diagonalised
+    once; the times are then read out in order while each one's a
+    posteriori residual s beta |u_j(s)| passes.  Only m_max sizes the
+    space, so the times a space serves, and their bits, never depend on
+    the times after them.  Returns (states, residual, halvings): the
+    states at the leading times the space serves, or, if it serves none,
+    the state at the longest dyadic fraction times[0] / 2**h of the first
+    time (h <= ``MAX_HALVINGS``) whose residual passes, and no state if
+    none does; the residual is the last one evaluated.
     The real scalings act on float64 views of the complex vectors and give
     the bits of the complex arithmetic without its temporaries: the two
     differ only in the sign of a zero, and w holds no -0 (the matvec sums
@@ -187,7 +193,6 @@ def _lanczos_expv(ham: Hamiltonian, g: complex, v: np.ndarray, dt,
     Smith's algorithm at ratio 0, is (re * (1/beta), im * (1/beta)), and
     subtracting the real a v leaves the same w as the complex one.
     """
-    times = np.atleast_1d(dt)
     dim = len(v)
     m_cap = min(m_max, dim)
     basis = np.empty((m_cap, dim), dtype=complex)
@@ -223,8 +228,6 @@ def _lanczos_expv(ham: Hamiltonian, g: complex, v: np.ndarray, dt,
             break
         states.append(basis[:j].T @ u)
 
-    if np.ndim(dt) == 0:
-        return (states[0] if states else basis[:j].T @ u), err, j
     if states:
         return states, err, 0
     for halvings in range(1, MAX_HALVINGS + 1):

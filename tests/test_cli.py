@@ -304,7 +304,9 @@ class TestSweepCommand:
         ("Omega2", "0.09,-1", [], "Omega2 = -1.0: squared Rabi energy"),
         ("t_m", "0.2,-0.1", [], "t_m = -0.1: t_m, dt_delay and ramp must"),
         ("t_m", "0.2,0.32", ["model.N=41"], "t_m = 0.2: recurrence bound"),
-    ], ids=["negative_Omega2", "negative_t_m", "recurrence"])
+        ("t_m", "0.2,0.32", ["propagation.krylov_dim=257"],
+         "t_m = 0.2: propagation.krylov_dim must lie in [4, 256]"),
+    ], ids=["negative_Omega2", "negative_t_m", "recurrence", "krylov_dim"])
     def test_refused_point_exits_2_before_output(self, axis, values,
                                                  overrides, point, tmp_path,
                                                  capsys):
@@ -512,6 +514,7 @@ class TestValidateAgreesWithRun:
         "propagation.residual_tol=-1",
         "propagation.residual_tol=nan",
         "propagation.krylov_dim=2",
+        "propagation.krylov_dim=257",  # above MAX_KRYLOV_DIM
         "propagation.T_total=-5 fs",
         "drive.t_m=-1 fs",
         "propagation.T_total=0.25 fs",  # no stride sample in the fit window
@@ -542,6 +545,15 @@ class TestValidateAgreesWithRun:
         args = ["--preset", "li", "--override", override]
         assert main(["validate", *args]) == 2
         assert main(["run", *args, "--out", str(tmp_path / "o")]) == 2
+
+    def test_largest_krylov_dim_runs(self, tmp_path):
+        # 256 vectors fit below li's dimension at N = 201 (404)
+        args = ["--preset", "li", "--override", "propagation.krylov_dim=256",
+                "--override", "drive.mode=rwa_pulsed",
+                "--override", "model.N=201",
+                "--override", "propagation.T_total=2 fs"]
+        assert main(["validate", *args]) == 0
+        assert main(["run", *args, "--out", str(tmp_path / "o")]) == 0
 
     @pytest.mark.parametrize("override", CLOCK_UNRESOLVED)
     def test_clock_resolution_refusal_names_the_key(self, override, capsys):

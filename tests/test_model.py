@@ -272,6 +272,27 @@ class TestArrowheadEigensystem:
         assert not np.shares_memory(eig.coefficients(c), c)
         assert np.array_equal(c, before)
 
+    @pytest.mark.parametrize("name", ["random", "zero", "li S", "li P"])
+    def test_empty_continuum_skips_the_cauchy_pass_bit_for_bit(self, name):
+        # the bound state alone (|1> in its block, |2> in its own) and the
+        # zero vector (the other block of either) give the bits of the
+        # full Cauchy loop, which adds only signed zeros to +0
+        alpha, d, z = arrowhead_block(name)
+        eig = arrowhead_eigensystem(alpha, d, z)
+        n_roots, _, uncoupled = eig._layout
+        bound = np.zeros(len(d) + 1, dtype=complex)
+        bound[0] = 0.6 - 0.8j
+        for x in (bound, np.zeros_like(bound)):
+            acc = np.zeros((n_roots, 2))
+            for chunk, inv in eig._inverse_gaps():
+                weighted = z[chunk, None] * x[1 + chunk, None]
+                acc += inv.T @ weighted.view(float)
+            full = np.empty_like(x)
+            full[:n_roots] = eig.q0[:n_roots] * (x[0] + acc.view(complex)[:, 0])
+            full[n_roots:] = x[1 + uncoupled]
+            assert np.array_equal(eig.coefficients(x).view(np.uint64),
+                                  full.view(np.uint64))
+
     def test_uncoupled_block_is_the_identity(self):
         # tau2 = inf: the P block of fig3_circles has no coupling
         alpha, d, z = arrowhead_block("fig3_circles P")

@@ -200,14 +200,16 @@ def textbook_expv(ham, g, v, dt, m_max):
 
 class TestLanczosBitExact:
     # |dt| from 1e-3 to 20 au, each read out of a space of the full 16
-    # vectors; |1> has exact zeros, a random state none.  |1> of an
-    # uncoupled three-level Hamiltonian spans an invariant space, {|1>} at
-    # g = 0 and {|1>, |2>} otherwise: beta vanishes and the space stops
+    # vectors (one product per vector); |1> has exact zeros, a random
+    # state none.  |1> of an uncoupled three-level Hamiltonian spans an
+    # invariant space, {|1>} at g = 0 and {|1>, |2>} otherwise: beta
+    # vanishes and the space stops.  An infinite tolerance passes every
+    # residual, so each time is read out of the space itself
     DTS = (1e-3, 0.05, 0.3, 1.0, 4.0, -1.0, 20.0)
 
     @pytest.mark.parametrize("g", [0.0, 0.013, 0.01 - 0.02j])
     @pytest.mark.parametrize("start", ["bound", "random", "uncoupled"])
-    def test_matches_textbook_recurrence(self, g, start):
+    def test_matches_textbook_recurrence(self, g, start, monkeypatch):
         if start == "uncoupled":
             ham = za.Hamiltonian(diag=np.array([1.0, 2.0, 3.0]),
                                  m_s=np.zeros(1), m_p=np.zeros(0))
@@ -217,15 +219,27 @@ class TestLanczosBitExact:
             expected = 16
         v = (random_state(ham, 5) if start == "random"
              else prop.initial_state(ham).data)
+        products = []
+        apply = za.Hamiltonian.apply
+
+        def counting_apply(*args):
+            products[-1] += 1
+            return apply(*args)
+
         dims = set()
         for dt in self.DTS:
-            out, err, j = prop._lanczos_expv(ham, g, v, dt, 16, 1e-10)
+            products.append(0)
+            with monkeypatch.context() as patch:
+                patch.setattr(za.Hamiltonian, "apply", counting_apply)
+                (out,), err, halvings = prop._lanczos_expv(
+                    ham, g, v, np.array([dt]), 16, math.inf)
             ref, ref_err, ref_j = textbook_expv(ham, g, v, dt, 16)
-            assert j == ref_j
+            assert halvings == 0
+            assert products[-1] == ref_j
             assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
             assert (np.float64(err).view(np.uint64)
                     == np.float64(ref_err).view(np.uint64))
-            dims.add(j)
+            dims.add(ref_j)
         assert dims == {expected}
 
 
@@ -397,6 +411,27 @@ class TestPropagate:
         lengths = np.unique(np.diff(trace.times))
         assert 0 < len(computed) <= len(lengths) < len(trace.times) - 1
 
+    def test_split_from_the_initial_state_takes_no_cauchy_pass(
+            self, monkeypatch):
+        # |1> has no continuum amplitude in either block
+        passes = []
+        gaps = model.ArrowheadEigensystem._inverse_gaps
+
+        def counting(eig):
+            passes.append(eig)
+            return gaps(eig)
+
+        monkeypatch.setattr(model.ArrowheadEigensystem, "_inverse_gaps",
+                            counting)
+        p = za.plan(za.preset_config("li"))
+        ham = za.assemble(p.levels, p.grid_s, p.grid_p)
+        ham.eigensystems  # solved before counting starts
+        passes.clear()
+        split = prop._Split(prop.initial_state(ham), ham, p.schedule)
+        assert passes == []
+        assert np.max(np.abs(split.sites()
+                             - prop.initial_state(ham).data)) < 1e-12
+
     def test_phase_memo_keeps_no_reference_to_its_split(self, monkeypatch):
         # a memo that held the instance (an lru_cache over a bound method)
         # would keep it, its coefficients and its vectors alive until the
@@ -469,7 +504,7 @@ class TestPropagate:
             self, monkeypatch):
         # every Lanczos space takes krylov_dim products, whatever times it
         # serves, and one tridiagonal eigensystem; li's spaces never break
-        # down
+        # down.  16-vector spaces, so that the run takes many of them
         spaces = []
         counts = {"apply": 0, "eigh": 0}
         expv, eigh = prop._lanczos_expv, prop._tridiagonal_eigh
@@ -494,7 +529,7 @@ class TestPropagate:
         monkeypatch.setattr(prop, "_lanczos_expv", counting_expv)
         cfg = za.preset_config("li", overrides=[
             "drive.mode=rwa_pulsed", "propagation.T_total=20 fs",
-            "model.N=201"])
+            "model.N=201", "propagation.krylov_dim=16"])
         za.execute(cfg)
         assert len(spaces) > 10
         assert all(products == min(cfg.krylov_dim, dimension) and solves == 1
@@ -502,10 +537,11 @@ class TestPropagate:
 
     def test_square_rwa_run_keeps_every_exponential(self, monkeypatch):
         # fig3_circles' 1 fs sample intervals are longer than one 16-vector
-        # space reaches: each such space serves a dyadic fraction of its
-        # first interval instead, and every state an exponential returns is
-        # a sample or the start of the next space.  Redoing a failed step
-        # as halves took 63 exponentials here, 15 of them thrown away
+        # space reaches (the default 32-vector space reaches them): each
+        # such space serves a dyadic fraction of its first interval
+        # instead, and every state an exponential returns is a sample or
+        # the start of the next space.  Redoing a failed step as halves
+        # took 63 exponentials here, 15 of them thrown away
         returned = []
         expv = prop._lanczos_expv
 
@@ -516,12 +552,35 @@ class TestPropagate:
 
         monkeypatch.setattr(prop, "_lanczos_expv", counting)
         trace = za.execute(za.preset_config("fig3_circles", overrides=[
-            "drive.mode=rwa_pulsed", "propagation.T_total=20 fs"])).trace
+            "drive.mode=rwa_pulsed", "propagation.T_total=20 fs",
+            "propagation.krylov_dim=16"])).trace
         assert all(n == 1 for n, halvings in returned if halvings)
         assert sum(n for n, halvings in returned
                    if not halvings) == len(trace.times) - 1
         assert any(halvings for _, halvings in returned)
         assert len(returned) < 63
+
+    def test_default_li_rwa_run_takes_36_full_spaces(self, monkeypatch):
+        # the default 32-vector space reaches about 11 of li's 0.25 fs
+        # rotating-frame samples; at 16 vectors the run took 135 spaces
+        # and 2160 products
+        counts = {"spaces": 0, "products": 0}
+        expv, apply = prop._lanczos_expv, za.Hamiltonian.apply
+
+        def counting_expv(*args):
+            counts["spaces"] += 1
+            return expv(*args)
+
+        def counting_apply(*args):
+            counts["products"] += 1
+            return apply(*args)
+
+        monkeypatch.setattr(prop, "_lanczos_expv", counting_expv)
+        monkeypatch.setattr(za.Hamiltonian, "apply", counting_apply)
+        cfg = za.preset_config("li", overrides=["drive.mode=rwa_pulsed"])
+        assert cfg.krylov_dim == 32
+        za.execute(cfg)
+        assert counts == {"spaces": 36, "products": 1152}
 
     def test_dt_max_replaces_the_drive_step_bound(self, monkeypatch):
         # a dt_max above the built-in bound sets the S6 step; it does not
@@ -655,8 +714,9 @@ class TestPropagate:
                                match="propagation.spectrum_snapshot_times"):
                 prop.PropagationConfig(T_total=1.0, snapshot_times=(snap,))
         assert prop.PropagationConfig(T_total=4.0).sample_dt == 0.01
-        with pytest.raises(ValueError):
-            prop.PropagationConfig(T_total=1.0, krylov_dim=2)
+        for dim in (2, prop.MAX_KRYLOV_DIM + 1):
+            with pytest.raises(ValueError, match="propagation.krylov_dim"):
+                prop.PropagationConfig(T_total=1.0, krylov_dim=dim)
         for tol in (-1.0, 0.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="residual_tol"):
                 prop.PropagationConfig(T_total=1.0, residual_tol=tol)

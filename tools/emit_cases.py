@@ -58,9 +58,13 @@ RUNS = {
     "fig4": ("fig4", []),
     "fig3_circles": ("fig3_circles", ["propagation.T_total=20 fs"]),
     "fig3_squares": ("fig3_squares", ["propagation.T_total=20 fs"]),
-    # 1 fs samples, longer than one Lanczos space reaches: dyadic pieces
     "fig3_circles_rwa": ("fig3_circles", [
         "drive.mode=rwa_pulsed", "propagation.T_total=20 fs"]),
+    # 1 fs samples, longer than a 16-vector space reaches: dyadic pieces
+    # (the default 32-vector space reaches them)
+    "fig3_circles_rwa_k16": ("fig3_circles", [
+        "drive.mode=rwa_pulsed", "propagation.T_total=20 fs",
+        "propagation.krylov_dim=16"]),
     "li_N41": ("li", [N41]),
 }
 VALIDATIONS = {"validate_li": [], "validate_li_N41": [N41]}
