@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import math
 import os
 import platform
@@ -26,7 +27,7 @@ from .config import (FLOAT_FORMAT, SWEEP_AXES, ConfigError, RunConfig,
                      apply_axis_value, canonical_text, execute, format_float,
                      load_config, plan, preset_config, sweep_points, PRESETS)
 from .observables import ObservableTrace
-from .propagator import ConvergenceError
+from .propagator import ConvergenceError, openblas_threads
 from .units import au_to_ev, au_to_fs
 
 WORKERS_ENV = "ZENOAUGER_WORKERS"
@@ -76,11 +77,18 @@ def _table(rows: numpy.ndarray, row_format: str) -> str:
 
 
 def _trace_csv(trace: ObservableTrace) -> str:
-    rows = numpy.column_stack((
-        au_to_fs(trace.times), trace.n_c, trace.n_v1, trace.n_v2,
-        trace.n_v3, trace.P1, trace.P2, trace.P_bound, trace.cycle_flags))
+    # n_v1, n_v2 and n_v3 are P_bound, P1 and P2: each value is formatted
+    # once and its text written twice
+    n = len(trace.times)
+    t, n_c, p_bound, p1, p2 = (
+        ("\n".join([FLOAT_FORMAT] * n) % tuple(column.tolist())).split("\n")
+        for column in (au_to_fs(trace.times), trace.n_c, trace.P_bound,
+                       trace.P1, trace.P2))
+    rows = zip(t, n_c, p_bound, p1, p2, p1, p2, p_bound,
+               trace.cycle_flags.astype(int).tolist())
     return ("t_fs,n_c,n_v1,n_v2,n_v3,P1,P2,P_bound,cycle_boundary\n"
-            + _table(rows, ",".join([FLOAT_FORMAT] * 8) + ",%d\n"))
+            + ",".join(["%s"] * 8 + ["%d\n"]) * n
+            % tuple(itertools.chain.from_iterable(rows)))
 
 
 def _spectrum_csv(trace: ObservableTrace) -> str:
@@ -151,6 +159,11 @@ def emit(result, out_dir: str | Path) -> Path:
                       "expanded configuration reproduces these files byte "
                       "for byte"),
     }
+    if openblas_threads() is None:
+        provenance["blas_threads"] = (
+            "not pinned: numpy's OpenBLAS thread setter was not found, so "
+            "the last bits of runs with Lanczos spaces may depend on the "
+            "BLAS thread count")
     (out / "provenance.json").write_text(_json_text(provenance) + "\n",
                                          encoding="utf-8")
     return out

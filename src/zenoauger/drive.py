@@ -49,12 +49,14 @@ class PulseSchedule:
         """Duration of a population-swapping pulse, pi/Omega."""
         return math.pi / self.Omega if self.Omega > 0 else math.inf
 
-    @property
+    @cached_property
     def is_rwa(self) -> bool:
+        """Whether the coupling is the rotating-wave Omega f(t) / 2."""
         return self.mode.startswith("rwa")
 
-    @property
+    @cached_property
     def drive_active(self) -> bool:
+        """Whether any window holds the drive."""
         return len(self.windows) > 0
 
     @cached_property

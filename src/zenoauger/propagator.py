@@ -14,8 +14,10 @@ composition S6 (J. Comput. Appl. Math. 142, 313 (2002)): seven phase
 flows and six rotations per step, time advancing inside the phase flows,
 the last flow of one step merged with the first of the next.  No product
 with H is taken, so no Krylov space, residual or halving is involved.
-Every phase vector, S6 or field-free, comes from one memo of the last
-ten flow lengths, so a length in use is exponentiated once.
+The sample intervals are laid out before the first step, each with its
+step count, its step and the next interval that needs the same flow
+lengths, and every phase vector, S6 or field-free, comes from one memo
+of at most ten that keeps those needed soonest (:class:`_Flows`).
 The populations of a sample are read from the eigencoordinates: the
 bound amplitudes through the same two rows, and n_c as the norm less
 the bound populations.  Site amplitudes are computed
@@ -38,10 +40,13 @@ edge, where the coupling is discontinuous.
 """
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
 import itertools
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -80,8 +85,50 @@ _S6_NODES = (_A1, _A1 + _A2, _A1 + _A2 + _A3, 1.0 - (_A1 + _A2 + _A3),
              1.0 - (_A1 + _A2), 1.0 - _A1)  # rotation times in the step
 # Phase vectors kept by exact flow length.  A window's sample intervals
 # differ in their last bits, so its steps alternate between a few lengths
-# of five flows each; ten vectors, not five, cut li's from 1271 to 355.
+# of five flows each.  Kept by next use, ten vectors compute li's 197
+# distinct lengths 203 times; the ten most recent computed 355 (five,
+# 1271), and the thirty most recent, which reach the distinct count,
+# raised li's traced peak from 0.87 to 1.36 MiB.
 _PHASE_MEMO = 10
+
+
+@functools.cache
+def openblas_threads():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS
+    (``libscipy_openblas64_``, in ``numpy.libs`` or ``numpy/.dylibs``), or
+    None where numpy carries no such library or it exports no setter."""
+    package = Path(np.__file__).parent
+    name = "libscipy_openblas64_*"
+    for path in sorted([*package.parent.glob(f"numpy.libs/{name}"),
+                        *package.glob(f".dylibs/{name}")]):
+        try:
+            lib = ctypes.CDLL(str(path))  # numpy's copy, already loaded
+            get = lib.scipy_openblas_get_num_threads64_
+            set_threads = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        return get, set_threads
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run numpy's OpenBLAS on one thread, and restore its thread count on
+    exit.  The Lanczos read-out (a GEMV) changes its last bits with the
+    thread count, so pinned runs give the same bytes at any count; where
+    :func:`openblas_threads` finds no setter, this does nothing."""
+    pool = openblas_threads()
+    before = pool[0]() if pool else 1
+    if before == 1:
+        yield
+        return
+    pool[1](1)
+    try:
+        yield
+    finally:
+        pool[1](before)
 
 
 class ConvergenceError(RuntimeError):
@@ -290,12 +337,11 @@ def evolve_interval(vec: np.ndarray, t0: float, t1, ham: Hamiltonian,
 
 
 class _Split:
-    """The state in block eigencoordinates and the exact flows on it.
+    """The state in block eigencoordinates and the rotations on it.
 
     ``coeffs`` holds the eigencoordinates of the {|1>, S} block, then
-    those of the {|2>, P} block.  ``phase(tau)``, the H0 flow over tau,
-    memoizes exp(-i lam tau) by exact tau; the memo holds lam, not the
-    instance.
+    those of the {|2>, P} block, and ``lam`` their eigenvalues; the H0
+    flow over tau multiplies ``coeffs`` by exp(-i lam tau) (:class:`_Flows`).
     """
 
     def __init__(self, psi: StateVector, ham: Hamiltonian,
@@ -314,8 +360,6 @@ class _Split:
         self.q1 = eig_s.q0.astype(complex)
         self.q2 = eig_p.q0.astype(complex)
         self.schedule = schedule
-        self.phase = functools.lru_cache(_PHASE_MEMO)(
-            functools.partial(_phase, self.lam))
 
     def bound(self) -> tuple[complex, complex]:
         """The amplitudes a1 and a2 of |1> and |2>."""
@@ -353,6 +397,73 @@ def _phase(lam: np.ndarray, tau: float) -> np.ndarray:
     return np.exp(-1j * tau * lam)
 
 
+class _Flows:
+    """The sample intervals of a run stepped in block eigencoordinates,
+    laid out before the first step, and the phase vectors they apply.
+
+    Per interval k = [times[k], times[k + 1]): ``steps``, its S6 step
+    count (0 for a field-free interval, one flow over its span),
+    ``lengths``, its step h (its span if field-free), and ``following``,
+    the index of the next interval that needs the same flow lengths (the
+    number of intervals if none does).  A field-free interval needs its
+    span, an interval of one S6 step A1 h to A4 h, and one of several
+    steps also the merged 2 A1 h.  :meth:`interval` hands the vectors out
+    from a memo of at most ``_PHASE_MEMO`` of them, keyed by exact flow
+    length, that evicts the vector needed furthest ahead, never one of
+    the current interval, keeps a new vector only if some kept one is
+    needed later than it, and keeps none that no later interval needs:
+    Belady's rule (IBM Syst. J. 5, 78 (1966)), which the plan allows
+    because every flow length is known before the first step.  The memo
+    holds lam, not the state.
+    """
+
+    def __init__(self, lam: np.ndarray, schedule: PulseSchedule,
+                 times: np.ndarray, window_dt: float):
+        spans = times[1:] - times[:-1]
+        inside = np.array(_in_windows(schedule, times), dtype=bool)
+        steps = np.maximum(1.0, np.ceil(spans / window_dt - 1e-12))
+        self.steps = np.where(inside, steps, 0.0).astype(np.int64)
+        self.lengths = np.where(inside, spans / steps, spans)
+        kind = np.minimum(self.steps, 2)  # field-free, one step, several
+        order = np.lexsort((self.lengths, kind))  # stable: in time order
+        same = ((kind[order[1:]] == kind[order[:-1]])
+                & (self.lengths[order[1:]] == self.lengths[order[:-1]]))
+        self.following = np.full(len(spans), len(spans), dtype=np.int64)
+        self.following[order[:-1][same]] = order[1:][same]
+        self.lam = lam
+        self.kept = {}  # tau -> [exp(-i lam tau), next interval needing it]
+
+    def interval(self, k: int) -> tuple[int, float, list[np.ndarray]]:
+        """(S6 step count, h, phase vectors) of interval k; the vectors
+        are (A1 h, A2 h, A3 h, A4 h[, 2 A1 h]) for S6 steps, (h,) else."""
+        n_steps, h = self.steps.item(k), self.lengths.item(k)
+        if not n_steps:
+            taus = (h,)
+        elif n_steps == 1:
+            taus = (_A1 * h, _A2 * h, _A3 * h, _A4 * h)
+        else:
+            taus = (_A1 * h, _A2 * h, _A3 * h, _A4 * h, 2.0 * _A1 * h)
+        kept, then = self.kept, self.following.item(k)
+        vectors = []
+        for tau in taus:
+            entry = kept.get(tau)
+            if entry is None:
+                entry = [_phase(self.lam, tau), then]
+                if len(kept) == _PHASE_MEMO:
+                    victim = max((key for key in kept if key not in taus),
+                                 key=lambda key: kept[key][1])
+                    if kept[victim][1] > then:
+                        del kept[victim]
+                if len(kept) < _PHASE_MEMO:
+                    kept[tau] = entry
+            entry[1] = then
+            vectors.append(entry[0])
+        if then == len(self.following):  # no later interval needs them
+            for tau in taus:
+                kept.pop(tau, None)
+        return n_steps, h, vectors
+
+
 def _s6_step(split: _Split, t: float, h: float, inner, closing: np.ndarray):
     """One S6 step over [t, t + h) whose opening flow has been applied;
     ``inner`` holds the five phase vectors between the rotations, and
@@ -365,18 +476,21 @@ def _s6_step(split: _Split, t: float, h: float, inner, closing: np.ndarray):
     np.multiply(coeffs, closing, out=coeffs)
 
 
-def _s6_interval(split: _Split, t0: float, t1: float, h_max: float):
-    """March [t0, t1) in uniform S6 steps no longer than h_max."""
-    t0, t1 = float(t0), float(t1)  # numpy scalars slow the node arithmetic
-    n_steps = max(1, math.ceil((t1 - t0) / h_max - 1e-12))
-    h = (t1 - t0) / n_steps
-    p2, p3, p4 = (split.phase(a * h) for a in (_A2, _A3, _A4))
+def _step_interval(split: _Split, t0: float, n_steps: int, h: float,
+                   vectors: list[np.ndarray]):
+    """March one sample interval from t0: n_steps uniform S6 steps of h
+    with the flows (A1 h, A2 h, A3 h, A4 h[, 2 A1 h]), or, for no step,
+    the one field-free flow."""
+    coeffs = split.coeffs
+    if not n_steps:
+        np.multiply(coeffs, vectors[0], out=coeffs)
+        return
+    opening, p2, p3, p4, *merged = vectors
     inner = (p2, p3, p4, p3, p2)
-    opening, merged = split.phase(_A1 * h), split.phase(2.0 * _A1 * h)
-    np.multiply(split.coeffs, opening, out=split.coeffs)
+    np.multiply(coeffs, opening, out=coeffs)
     for i in range(n_steps):
         _s6_step(split, t0 + i * h, h, inner,
-                 merged if i < n_steps - 1 else opening)
+                 merged[0] if i < n_steps - 1 else opening)
 
 
 def sample_times(schedule: PulseSchedule, config: PropagationConfig) -> np.ndarray:
@@ -389,6 +503,12 @@ def sample_times(schedule: PulseSchedule, config: PropagationConfig) -> np.ndarr
     keep = np.ones(len(merged), dtype=bool)
     keep[1:] = np.diff(merged) > 1e-9 * max(T, 1.0)
     return merged[keep]
+
+
+def _in_windows(schedule: PulseSchedule, times: np.ndarray) -> list[bool]:
+    """Whether each sample interval's midpoint lies inside a window."""
+    return [envelope_at(schedule, 0.5 * (t0 + t)) > 0.0
+            for t0, t in zip(times[:-1], times[1:])]
 
 
 def _near(times: np.ndarray, points, tol: float) -> np.ndarray:
@@ -434,14 +554,15 @@ def propagate(psi0: StateVector, ham: Hamiltonian, schedule: PulseSchedule,
     p1 = np.empty(n_samples)
     p2 = np.empty(n_samples)
     states: list[StateVector] = []
-    for i, (t, sample) in enumerate(zip(times, samples, strict=True)):
-        if isinstance(sample, tuple):  # read from eigencoordinates
-            n_c[i], p1[i], p2[i] = sample
-            continue
-        n_c[i], _, p1[i], p2[i], _ = orbital_populations(
-            StateVector(sample, psi0.n_s, t))
-        if snapshot[i]:
-            states.append(StateVector(sample.copy(), psi0.n_s, t))
+    with one_blas_thread():  # the samples are computed as they are read
+        for i, (t, sample) in enumerate(zip(times, samples, strict=True)):
+            if isinstance(sample, tuple):  # read from eigencoordinates
+                n_c[i], p1[i], p2[i] = sample
+                continue
+            n_c[i], _, p1[i], p2[i], _ = orbital_populations(
+                StateVector(sample, psi0.n_s, t))
+            if snapshot[i]:
+                states.append(StateVector(sample.copy(), psi0.n_s, t))
 
     axes = {}
     if grids is not None:
@@ -461,10 +582,8 @@ def _krylov_samples(psi0: StateVector, ham: Hamiltonian,
     stretch as one Lanczos space reaches."""
     vec = psi0.data
     yield vec
-    inside = [envelope_at(schedule, 0.5 * (t0 + t)) > 0.0
-              for t0, t in zip(times[:-1], times[1:])]
     a = 0
-    for _, stretch in itertools.groupby(inside):
+    for _, stretch in itertools.groupby(_in_windows(schedule, times)):
         end = a + len(list(stretch))
         while a < end:
             states = evolve_interval(vec, times[a], times[a + 1:end + 1], ham,
@@ -482,14 +601,12 @@ def _split_samples(psi0: StateVector, ham: Hamiltonian,
     initial state itself first, then the site amplitudes at a snapshot
     and the populations (n_c, P1, P2) at every other sample."""
     split = _Split(psi0, ham, schedule)
+    flows = _Flows(split.lam, schedule, times, window_dt)
     yield psi0.data
-    for i in range(1, len(times)):
-        t0, t = times[i - 1], times[i]
-        if envelope_at(schedule, 0.5 * (t0 + t)) > 0.0:
-            _s6_interval(split, t0, t, window_dt)
-        else:
-            np.multiply(split.coeffs, split.phase(t - t0), out=split.coeffs)
-        yield split.sites() if snapshot[i] else split.populations()
+    for k in range(len(times) - 1):
+        # numpy scalars slow the node arithmetic
+        _step_interval(split, times.item(k), *flows.interval(k))
+        yield split.sites() if snapshot[k + 1] else split.populations()
 
 
 def pi_pulse_transfer_check(Omega: float, omega: float, delta: float,

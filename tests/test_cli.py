@@ -1,7 +1,11 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +18,10 @@ from zenoauger.config import (_KEYS, SWEEP_AXES, build_config, canonical_text,
                               expand, format_float, load_config,
                               parse_config_text, plan)
 from zenoauger.drive import MODES
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+with mock.patch.dict(os.environ):  # emit_cases pins the BLAS thread count
+    import emit_cases  # noqa: E402
 
 FAST_DRIVEN = [
     "--override", "model.N=101",
@@ -210,6 +218,21 @@ class TestRunCommand:
         assert code == 2
         assert "recurrence" in capsys.readouterr().err
 
+    def test_provenance_names_an_unpinned_blas(self, tmp_path, monkeypatch):
+        # without numpy's OpenBLAS thread setter a run goes unpinned, and
+        # says so; otherwise provenance.json keeps its keys
+        pinned = prop.openblas_threads() is not None
+        main(["run", "--preset", "li", *FAST, "--out", str(tmp_path / "a")])
+        for module in (cli, prop):
+            monkeypatch.setattr(module, "openblas_threads", lambda: None)
+        assert main(["run", "--preset", "li", *FAST,
+                     "--out", str(tmp_path / "b")]) == 0
+        keys = [set(json.loads((tmp_path / run / "provenance.json")
+                               .read_text())) for run in ("a", "b")]
+        assert keys[1] - keys[0] == ({"blas_threads"} if pinned else set())
+        assert (tmp_path / "a" / "trace.csv").read_bytes() == (
+            tmp_path / "b" / "trace.csv").read_bytes()
+
     def test_trace_csv_schema(self, tmp_path):
         out = tmp_path / "run"
         main(["run", "--preset", "li", *FAST, "--out", str(out)])
@@ -256,6 +279,34 @@ class TestRunCommand:
         assert 0 < trace.cycle_flags.sum() < len(trace.times)
         assert cli._trace_csv(trace) == trace_reference(trace)
         assert cli._spectrum_csv(trace) == spectrum_reference(trace)
+
+
+@pytest.mark.skipif(prop.openblas_threads() is None,
+                    reason="numpy's OpenBLAS exports no thread setter")
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one core")
+def test_output_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the Lanczos read-out is a GEMV whose last bits change with the
+    # thread count; propagate pins one thread.  li (S6 steps) and
+    # li_rwa_pulsed (Lanczos spaces) of tools/emit_cases.py, run in
+    # processes started at one and at two threads
+    trees = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        argvs = [argv for name, argv in emit_cases.cases(out)
+                 if name in ("li", "li_rwa_pulsed")]
+        assert len(argvs) == 2
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+                       filter(None, (str(Path(cli.__file__).parent.parent),
+                                     os.environ.get("PYTHONPATH")))))
+        code = ("import json, sys; from zenoauger.cli import main; "
+                "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))")
+        subprocess.run([sys.executable, "-c", code, json.dumps(argvs)],
+                       env=env, check=True, capture_output=True, timeout=300)
+        trees.append({path.relative_to(out): path.read_bytes()
+                      for path in sorted(out.rglob("*")) if path.is_file()})
+    assert len(trees[0]) == 10
+    assert trees[0] == trees[1]
 
 
 class TestSweepCommand:

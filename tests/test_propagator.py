@@ -11,7 +11,7 @@ import scipy.linalg
 import zenoauger as za
 import zenoauger.model as model
 import zenoauger.propagator as prop
-from zenoauger.drive import build_schedule, coupling_at
+from zenoauger.drive import build_schedule, coupling_at, envelope_at
 from zenoauger.model import rotating_frame
 
 from conftest import random_state, small_system
@@ -21,6 +21,27 @@ def make_schedule(T, mode="pulsed", Omega_ev=1.0, omega_ev=10.0, t_m_fs=0.32,
                   **kwargs):
     return build_schedule(za.ev_to_au(Omega_ev), za.ev_to_au(omega_ev), 0.0,
                           za.fs_to_au(t_m_fs), 0.0, mode, T, **kwargs)
+
+
+def interval_flows(p):
+    """(S6 step count, flow lengths) of each sample interval of a planned
+    run on the eigencoordinate path, laid out one interval at a time: S6
+    steps of h = span / n, n the fewest steps of at most the step bound,
+    inside the windows, one flow over the span outside them."""
+    times = prop.sample_times(p.schedule, p.propagation)
+    h_max = p.propagation.dt_max or prop.drive_step_bound(p.schedule)
+    a1, a2, a3, a4 = prop._A1, prop._A2, prop._A3, prop._A4
+    layout = []
+    for t0, t1 in zip(times[:-1], times[1:]):
+        if not envelope_at(p.schedule, 0.5 * (t0 + t1)) > 0.0:
+            layout.append((0, (t1 - t0,)))
+            continue
+        t0, t1 = float(t0), float(t1)
+        n = max(1, math.ceil((t1 - t0) / h_max - 1e-12))
+        h = (t1 - t0) / n
+        merged = (2.0 * a1 * h,) if n > 1 else ()
+        layout.append((n, (a1 * h, a2 * h, a3 * h, a4 * h, *merged)))
+    return layout
 
 
 def dense_expv(h, dt, vec):
@@ -457,6 +478,81 @@ class TestPropagate:
             gc.enable()
 
     @staticmethod
+    def computed_flows(monkeypatch, preset, overrides=()):
+        """The flow length of every phase vector a run computes."""
+        computed = []
+        phase = prop._phase
+
+        def counting(lam, tau):
+            computed.append(tau)
+            return phase(lam, tau)
+
+        monkeypatch.setattr(prop, "_phase", counting)
+        za.execute(za.preset_config(preset, list(overrides)))
+        return computed
+
+    @pytest.mark.parametrize("preset, most", [
+        ("li", 217), ("li_plus", 156), ("fig4", 151)])
+    def test_planned_memo_computes_few_phase_vectors(self, monkeypatch,
+                                                     preset, most):
+        # a window's sample intervals alternate between lengths a few ulp
+        # apart, of five flows each: the ten most recent lengths computed
+        # 355, 314 and 236 vectors here
+        assert len(self.computed_flows(monkeypatch, preset)) <= most
+
+    def test_field_free_li_computes_13_phase_vectors(self, monkeypatch):
+        computed = self.computed_flows(monkeypatch, "li", ["drive.mode=off"])
+        assert len(computed) == len(set(computed)) == 13
+
+    def test_plan_lays_out_each_interval_as_stepped_alone(self):
+        for overrides in ([], ["drive.mode=off"], ["propagation.dt_max=1 fs"],
+                          ["drive.envelope=cosine_ramp", "drive.ramp=0.5 fs"]):
+            p = za.plan(za.preset_config("li", overrides))
+            ham = za.assemble(p.levels, p.grid_s, p.grid_p)
+            times = prop.sample_times(p.schedule, p.propagation)
+            flows = prop._Flows(ham.eigensystems[0].lam, p.schedule, times,
+                                p.propagation.dt_max
+                                or prop.drive_step_bound(p.schedule))
+            plan = zip(flows.steps.tolist(), flows.lengths.tolist())
+            for (n, h), laid_out in zip(plan, interval_flows(p), strict=True):
+                a = (prop._A1, prop._A2, prop._A3, prop._A4,
+                     2.0 * prop._A1)[:5 if n > 1 else 4]
+                assert laid_out == (n, tuple(x * h for x in a) if n else (h,))
+
+    def test_flow_memo_holds_at_most_phase_memo_vectors(self, monkeypatch):
+        # after each interval the memo holds at most _PHASE_MEMO vectors,
+        # each of a length some later interval needs; li's windows fill it
+        p = za.plan(za.preset_config("li"))
+        needed = [set(lengths) for _, lengths in interval_flows(p)]
+        kept = []
+        interval = prop._Flows.interval
+
+        def recording(flows, k):
+            result = interval(flows, k)
+            kept.append(set(flows.kept))
+            return result
+
+        monkeypatch.setattr(prop._Flows, "interval", recording)
+        za.execute(p.config)
+        assert len(kept) == len(needed)
+        assert max(map(len, kept)) == prop._PHASE_MEMO
+        for k, lengths in enumerate(kept):
+            assert lengths <= set().union(*needed[k + 1:]), k
+        assert kept[-1] == set()
+
+    def test_one_step_interval_computes_no_merged_flow(self, monkeypatch):
+        # at dt_max = 1 fs every 0.25 fs window interval is one S6 step,
+        # whose closing flow is its opening A1 h, never 2 A1 h
+        overrides = ["propagation.T_total=20 fs", "model.N=201",
+                     "propagation.dt_max=1 fs"]
+        layout = interval_flows(za.plan(za.preset_config("li", overrides)))
+        assert {n for n, _ in layout} == {0, 1}
+        computed = set(self.computed_flows(monkeypatch, "li", overrides))
+        openings = [lengths[0] for n, lengths in layout if n]
+        assert set(openings) <= computed
+        assert not computed & {2.0 * a1 for a1 in openings}
+
+    @staticmethod
     def count_calls(monkeypatch, mode, overrides=()):
         """(coupling_at calls, Lanczos exponentials, S6 steps, trace) of an
         li run."""
@@ -733,6 +829,38 @@ class TestPropagate:
         with pytest.raises(ValueError,
                            match="propagation.sample_stride = .* samples"):
             prop.PropagationConfig(T_total=1.0, sample_dt=0.5 * limit)
+
+
+@pytest.mark.skipif(prop.openblas_threads() is None,
+                    reason="numpy's OpenBLAS exports no thread setter")
+def test_propagate_runs_on_one_blas_thread_and_restores_the_pool(
+        monkeypatch):
+    get, set_threads = prop.openblas_threads()
+    inside = []
+    expv = prop._lanczos_expv
+
+    def recording(*args):
+        inside.append(get())
+        return expv(*args)
+
+    def failing(*args):
+        raise prop.ConvergenceError("stop")
+
+    cfg = za.preset_config("li", ["drive.mode=rwa_pulsed", "model.N=201",
+                                  "propagation.T_total=20 fs"])
+    before = get()
+    set_threads(2)
+    try:
+        monkeypatch.setattr(prop, "_lanczos_expv", recording)
+        za.execute(cfg)
+        assert get() == 2
+        monkeypatch.setattr(prop, "_lanczos_expv", failing)
+        with pytest.raises(prop.ConvergenceError):
+            za.execute(cfg)
+        assert get() == 2
+    finally:
+        set_threads(before)
+    assert inside and set(inside) == {1}
 
 
 class TestDriveStepBound:
