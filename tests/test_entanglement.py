@@ -3,8 +3,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import zenoauger as za
+from zenoauger.entanglement import _g17_words
 from zenoauger.propagator import StateVector
 
 
@@ -194,19 +196,27 @@ class TestEmission:
         assert header["regions"]["S"][0] == pytest.approx(50.0)
         assert header["regions"]["P"][1] == pytest.approx(56.5)
 
-    @pytest.mark.parametrize("floor, zero_rows", [
-        pytest.param(floor, zero_rows,
-                     id=f"{floor}-zero-rows" if zero_rows else f"{floor}")
-        for zero_rows in (0, 40) for floor in (1e-12, 1e-3, 1.0, 0.0, -1.0)])
-    def test_csv_bytes_match_dense_reference(self, tmp_path, floor, zero_rows):
+    @pytest.mark.parametrize("floor, zero_rows, wide", [
+        *(pytest.param(floor, zero_rows, False,
+                       id=f"{floor}-zero-rows" if zero_rows else f"{floor}")
+          for zero_rows in (0, 40) for floor in (1e-12, 1e-3, 1.0, 0.0, -1.0)),
+        *(pytest.param(floor, 0, True, id=f"{floor}-wide")
+          for floor in (1e-12, 1e-3, 0.0, -1.0))])
+    def test_csv_bytes_match_dense_reference(self, tmp_path, floor, zero_rows,
+                                             wide):
         # 400 modes give 79 800 pairs over 399 mode rows; with zero_rows
         # the leading modes are exactly zero, so above a floor of 0 their
-        # whole rows emit nothing
+        # whole rows emit nothing.  A wide state scales its amplitudes by
+        # exp(uniform(-120, 0)): its C cross the switch from 0.000ddd to
+        # d.ddde-XX, reach 3-digit exponents and, with the 12 zero modes,
+        # exact zeros
         n_modes, n_s = 400, 200
         rng = np.random.default_rng(11)
         data = rng.normal(size=n_modes + 2) + 1j * rng.normal(size=n_modes + 2)
         data[2 + rng.choice(n_modes, size=12, replace=False)] = 0.0
         data[2:2 + zero_rows] = 0.0
+        if wide:
+            data[2:] *= np.exp(rng.uniform(-120.0, 0.0, size=n_modes))
         data /= np.linalg.norm(data)
         energies = np.sort(rng.uniform(1.5, 2.5, size=n_modes))
         cmat = za.concurrence_matrix(StateVector(data=data, n_s=n_s),
@@ -225,6 +235,19 @@ class TestEmission:
         out = za.write_concurrence(cmat, tmp_path, floor=floor)
         written = (out / "concurrence.csv").read_bytes()
         assert written == ("\n".join(lines) + "\n").encode("utf-8")
+        if wide and floor <= 0.0:
+            values = dense[rows, cols]
+            assert np.any(values == 0.0) and np.any(values < 1e-100)
+            assert np.any((values >= 1e-4) & (values < 1.0))
+            assert np.any((values >= 1e-5) & (values < 1e-4))
+
+    @pytest.mark.parametrize("floor", [math.nan, math.inf, -math.inf])
+    def test_refuses_a_floor_that_is_not_finite(self, tmp_path, floor):
+        # concurrence.json would hold "floor": nan, which is not JSON
+        cmat = za.concurrence_matrix(continuum_state([0.6, 0.0, 0.8], 2))
+        with pytest.raises(ValueError, match=rf"floor {floor} is not finite"):
+            za.write_concurrence(cmat, tmp_path / "ent", floor=floor)
+        assert not (tmp_path / "ent").exists()
 
     @pytest.mark.parametrize("n_s", [0, 3])
     def test_region_without_modes_is_written_empty(self, tmp_path, n_s):
@@ -259,6 +282,89 @@ class TestEmission:
         assert peak < 4 * 2**20
         with open(out / "concurrence.csv", "rb") as handle:
             assert sum(1 for _ in handle) == 1 + n_modes * (n_modes - 1) // 2
+
+
+def g17_lines(values):
+    """The lines that ``_g17_words`` spells, NUL bytes dropped."""
+    words = _g17_words(np.asarray(values, dtype=float))
+    return [bytes(row[row != 0])
+            for row in words.view(np.uint8).reshape(len(words), 32)]
+
+
+def printf_lines(values):
+    return [("%.17g\n" % v).encode() for v in values]
+
+
+class TestG17Oracle:
+    """``_g17_words`` against Python's ``'%.17g'``, byte for byte."""
+
+    @given(st.floats(min_value=0.0, allow_nan=False, allow_infinity=False))
+    def test_any_nonnegative_double(self, x):
+        assert g17_lines([x]) == printf_lines([x])
+
+    @given(st.floats(min_value=1e-95, max_value=1.0, exclude_max=True))
+    def test_any_double_of_the_numpy_path(self, x):
+        assert g17_lines([x]) == printf_lines([x])
+
+    def test_powers_of_ten_within_three_ulps(self):
+        powers = np.array([float(f"1e{k}") for k in range(-320, 309)])
+        values = [powers]
+        for direction in (-np.inf, np.inf):
+            near = powers
+            for _ in range(3):
+                near = np.nextafter(near, direction)
+                values.append(near)
+        values = np.concatenate(values).tolist()
+        assert g17_lines(values) == printf_lines(values)
+
+    def test_exact_decimal_ties_round_to_even(self):
+        # t / 2^(q + 1) with t odd and 5^q | t is D + 1/2 at 17 digits
+        # (q = 16 - e); Python rounds such a tie to even
+        values = []
+        for q in range(17, 25):
+            low, high = -(-2 * 10**16 // 5**q), 2 * 10**17 // 5**q
+            values += [t / 2**(q + 1) for t in range(low | 1, high, 2)[:400]]
+        assert g17_lines(values) == printf_lines(values)
+
+    def test_decimal_halfway_points(self):
+        rng = np.random.default_rng(29)
+        digits = rng.integers(10**16, 10**17, size=2000).tolist()
+        powers = rng.integers(-120, 20, size=2000).tolist()
+        values = [float(f"{d}5e{k}") for d, k in zip(digits, powers)]
+        assert g17_lines(values) == printf_lines(values)
+
+    def test_zero_subnormals_and_three_digit_exponents(self):
+        rng = np.random.default_rng(30)
+        values = [0.0, 5e-324, 2.2250738585072009e-308, 1e-310,
+                  *rng.uniform(0.0, 2.3e-308, size=200).tolist(),
+                  *(10.0 ** rng.uniform(-300, -95, size=500)).tolist(),
+                  1e-100, 9.9999999999999999e-101, 1.5e-99]
+        assert g17_lines(values) == printf_lines(values)
+
+    def test_switch_between_the_two_notations(self):
+        # '%.17g' writes 0.000ddd from 1e-4 and d.ddde-05 below, after
+        # rounding: 9.99999999999999999e-5 rounds up to 0.0001
+        values = []
+        for edge in (1e-4, 1e-5):
+            near = np.full(1, edge)
+            for direction in (-np.inf, np.inf):
+                for _ in range(20):
+                    near = np.nextafter(near, direction)
+                    values.append(float(near[0]))
+        values += [1e-4, 1e-5, 9.99999999999999999e-5, 9.9999999999999991e-5,
+                   1.2345e-4, 1.2345e-5, 0.5, 0.1, 0.099999999999999992]
+        assert g17_lines(values) == printf_lines(values)
+
+    def test_values_of_one_and_above(self):
+        values = [1.0, 1.0000000000000002, 2.5, 10.0, 123456789.123,
+                  1e16, 1e17, 9007199254740993.0, 1e95, 1e300,
+                  1.7976931348623157e308]
+        assert g17_lines(values) == printf_lines(values)
+
+    def test_loguniform_spread(self):
+        rng = np.random.default_rng(31)
+        values = (10.0 ** rng.uniform(-100.0, 0.0, size=20000)).tolist()
+        assert g17_lines(values) == printf_lines(values)
 
 
 class TestWoottersOracle:

@@ -5,7 +5,8 @@ scipy.linalg unloaded.  scipy.sparse loads inside
 with square rotating-frame windows takes; so importing the package,
 ``validate``, a full-field run and a field-free run leave it unloaded
 too.  Nor does planning solve a drive-free block: the eigensystem memo
-stays empty until a run propagates."""
+stays empty until a run propagates, and the concurrence writer's
+formatting tables stay unbuilt until it writes."""
 import ast
 import graphlib
 import os
@@ -116,6 +117,16 @@ def test_planning_solves_no_block():
             "zenoauger.cli.main(['validate', '--preset', 'li']) == 0")
     assert printed_after(
         code, "zenoauger.model._solve_block.cache_info().currsize") == "0"
+
+
+def test_import_builds_no_formatting_table():
+    # the '%.17g' tables of write_concurrence are built with its first
+    # chunk, so importing the package does not pay for them
+    tables = ("zenoauger.entanglement._powers_of_ten, "
+              "zenoauger.entanglement._text_tables")
+    assert printed_after(
+        "import sys, zenoauger, zenoauger.cli",
+        f"[f.cache_info().currsize for f in ({tables})]") == "[0, 0]"
 
 
 def test_full_field_run_leaves_scipy_sparse_unloaded():

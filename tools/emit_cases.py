@@ -6,8 +6,11 @@ Each command case goes through ``zenoauger.cli.main``: a run or sweep
 writes into ``OUT/<case>/``, and every such case writes ``OUT/<case>.log``
 with its exit code, stdout and stderr (the output root spelled ``OUT``).
 No command writes a concurrence matrix, so the concurrence cases call
-``concurrence_matrix`` and ``write_concurrence`` on the final state of one
-fig4 run at model.N = 301, each into ``OUT/<case>/``.  Running this
+``concurrence_matrix`` and ``write_concurrence``, each into
+``OUT/<case>/``: two on the final state of one fig4 run at model.N = 301,
+and one at floor 0 on a fixed synthetic state whose C spans 1e-120 to 1
+and holds exact zeros, so that its file has values that the writer's
+numpy formatting leaves to Python.  Running this
 once per checkout and comparing the two directories with ``diff -r``
 shows which output files, exit codes and refusals a change moves.  The
 package is whichever ``zenoauger`` is first on ``PYTHONPATH``.  BLAS and
@@ -30,6 +33,7 @@ import numpy as np
 from zenoauger.cli import main
 from zenoauger.config import execute, preset_config
 from zenoauger.entanglement import concurrence_matrix, write_concurrence
+from zenoauger.model import StateVector
 
 RAMP = ["drive.envelope=cosine_ramp", "drive.ramp=0.5 fs"]
 T30 = "propagation.T_total=30 fs"
@@ -84,6 +88,17 @@ CONCURRENCE = {  # case -> write_concurrence keywords (none: default floor)
 }
 
 
+def synthetic_concurrence():
+    """200 modes with magnitudes log-uniform over [1e-60, 1] and every
+    tenth mode exactly zero: C from about 1e-120 to 1, and zeros."""
+    rng = np.random.default_rng(29)
+    b = 10.0 ** rng.uniform(-60.0, 0.0, size=200)
+    b[::10] = 0.0
+    state = StateVector(data=np.concatenate(([0.0, 0.0], b)).astype(complex),
+                        n_s=100)
+    return concurrence_matrix(state, np.linspace(1.5, 2.5, 200))
+
+
 def cases(out: Path):
     for name, (preset, overrides) in RUNS.items():
         yield name, ["run", "--preset", preset, "--out", str(out / name),
@@ -115,3 +130,6 @@ if __name__ == "__main__":
     for name, keywords in CONCURRENCE.items():
         write_concurrence(cmat, root / name, **keywords)
         print(f"{name}: written")
+    name = "synthetic_concurrence_floor0"
+    write_concurrence(synthetic_concurrence(), root / name, floor=0.0)
+    print(f"{name}: written")
